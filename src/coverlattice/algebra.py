@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from .covers import Cover
 from .exceptions import CoverError, InconsistencyError
 from .graphs import LabeledBipartiteGraph
-from .lattice import CoverLattice, is_full, rank
+from .lattice import CoverLattice, rank
 
 __all__ = [
     "ExponentMatrix",
@@ -200,7 +200,7 @@ def dimension_report(
     rank_trunc = rank_exact(trunc_m.rows)
     lattice_rank = rank(lat)
     dimension = rank_full
-    cm = is_full(lat)
+    cm = lattice_rank == lg.n
     problems = []
     if rank_full != rank_trunc + 1:
         problems.append(f"rank_full={rank_full} is not rank_truncated+1={rank_trunc + 1}")

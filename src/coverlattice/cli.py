@@ -239,7 +239,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     lat = random_sublattice(args.n, args.generators, args.seed)
     _write_or_print(format_lattice(lat), args.out)
     if args.graph_out:
-        lg = graph_from_lattice(lat, max_vertices=2 * args.n)
+        lg = graph_from_lattice(lat)
         _write_or_print(serialize_labeled(lg), args.graph_out)
     return EXIT_OK
 

@@ -1,22 +1,24 @@
 """Bounded sublattices of the subset lattice of {1..n}.
 
-The elements come from cover x-parts. A valid family always contains the
-empty set and the full set and is closed under pairwise union and
-intersection; CoverLattice enforces that at construction, so holding one is
-proof of the closure properties. Rank is the longest chain length, and the
-inverse construction rebuilds the unique diagonal-labeled bipartite graph
-whose cover projections reproduce the family.
+The elements come from cover x-parts. By Birkhoff's theorem a bounded
+sublattice is the family of down-sets of one preorder on {1..n}: pred[j],
+the intersection of the members that contain j, holds the elements at or
+below j. CoverLattice accepts a family only if it equals the down-sets of
+its own preorder, so holding one is proof that it contains the empty and
+the full set and is closed under union and intersection. The rank is the
+number of distinct pred[j], and the inverse construction reads off the
+preorder the unique diagonal-labeled bipartite graph whose cover
+projections reproduce the family. Hasse diagrams serve DOT export only.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 
-from .covers import DEFAULT_MAX_VERTICES, enumerate_minimal_covers, x_parts
 from .exceptions import InconsistencyError, LatticeError
-from .graphs import LabeledBipartiteGraph, as_graph
+from .graphs import LabeledBipartiteGraph
 
 __all__ = [
     "CoverLattice",
@@ -67,6 +69,53 @@ class ClosureCertificate:
         )
 
 
+def _to_mask(e: Iterable[int]) -> int:
+    return sum(1 << (i - 1) for i in e)
+
+
+def _mask_to_set(mask: int) -> frozenset[int]:
+    out = set()
+    while mask:
+        low = mask & -mask
+        out.add(low.bit_length())
+        mask ^= low
+    return frozenset(out)
+
+
+def _preorder(masks: Collection[int], n: int) -> list[int]:
+    """pred[j]: the intersection of the members that contain element j + 1."""
+    pred = []
+    for j in range(n):
+        p = (1 << n) - 1
+        for a in masks:
+            if a >> j & 1:
+                p &= a
+        pred.append(p)
+    return pred
+
+
+def _downsets(pred: list[int], limit: int) -> set[int] | None:
+    """The down-sets of pred: the empty set and every union of the pred[j].
+
+    Returns None as soon as there are more than limit of them, so the work
+    stays O(n * limit) however many down-sets the preorder has.
+    """
+    found = {0}
+    for p in set(pred):
+        found |= {d | p for d in found}
+        if len(found) > limit:
+            return None
+    return found
+
+
+def _is_downset_family(masks: set[int], n: int) -> bool:
+    """A family is a bounded sublattice iff it is the down-sets of its own preorder.
+
+    That covers both bounds: the down-sets hold the empty and the full set.
+    """
+    return _downsets(_preorder(masks, n), len(masks)) == masks
+
+
 def is_sublattice(
     family: Iterable[frozenset[int]], n: int
 ) -> tuple[bool, ClosureCertificate | None]:
@@ -79,23 +128,30 @@ def is_sublattice(
     for e in elems:
         if not all(1 <= i <= n for i in e):
             raise LatticeError(f"element {sorted(e)} is not a subset of 1..{n}")
-    # closure first: a violating pair is the more informative certificate
+    if _is_downset_family({_to_mask(e) for e in elems}, n):
+        return True, None
+    return False, _certificate(elems, n)
+
+
+def _certificate(elems: set[frozenset[int]], n: int) -> ClosureCertificate:
+    """Name what a family that failed the preorder test lacks.
+
+    A violating pair is the more informative certificate, so the pairwise
+    scan comes before the bounds. A failed family with no violating pair
+    and the empty set must lack the full set.
+    """
     ordered = sorted(elems, key=_element_key)
     for idx, a in enumerate(ordered):
         for b in ordered[idx + 1 :]:
             u = a | b
             if u not in elems:
-                return False, ClosureCertificate("union", a, b, u)
+                return ClosureCertificate("union", a, b, u)
             i = a & b
             if i not in elems:
-                return False, ClosureCertificate("intersection", a, b, i)
-    bottom: frozenset[int] = frozenset()
-    top = frozenset(range(1, n + 1))
-    if bottom not in elems:
-        return False, ClosureCertificate("missing-bottom", missing=bottom)
-    if top not in elems:
-        return False, ClosureCertificate("missing-top", missing=top)
-    return True, None
+                return ClosureCertificate("intersection", a, b, i)
+    if frozenset() not in elems:
+        return ClosureCertificate("missing-bottom", missing=frozenset())
+    return ClosureCertificate("missing-top", missing=frozenset(range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -152,32 +208,11 @@ def hasse(lat: CoverLattice) -> HasseDiagram:
 def rank(lat: CoverLattice) -> int:
     """Longest chain cardinality minus one.
 
-    Every maximal chain runs from the empty set to the full set along Hasse
-    edges; a distributive lattice is graded, so all of them must have the
-    same length. That is asserted rather than assumed: a disagreement means
-    a non-lattice input slipped through validation.
+    A distributive lattice is graded, and its rank is its number of
+    join-irreducibles (Birkhoff): here the distinct principal down-sets
+    pred[j] of its preorder.
     """
-    diagram = hasse(lat)
-    preds: dict[frozenset[int], list[frozenset[int]]] = {e: [] for e in lat.elements}
-    for a, b in diagram.edges:
-        preds[b].append(a)
-    longest: dict[frozenset[int], int] = {}
-    shortest: dict[frozenset[int], int] = {}
-    for e in lat.elements:  # sorted by size, so predecessors come first
-        below = preds[e]
-        if not below:
-            longest[e] = 0
-            shortest[e] = 0
-        else:
-            longest[e] = 1 + max(longest[a] for a in below)
-            shortest[e] = 1 + min(shortest[a] for a in below)
-    top = lat.elements[-1]
-    if longest[top] != shortest[top]:
-        raise LatticeError(
-            f"maximal chains of cardinality {shortest[top] + 1} and {longest[top] + 1} "
-            "coexist: not a graded lattice"
-        )
-    return longest[top]
+    return len(set(_preorder([_to_mask(e) for e in lat.elements], lat.n)))
 
 
 def is_full(lat: CoverLattice) -> bool:
@@ -185,57 +220,33 @@ def is_full(lat: CoverLattice) -> bool:
     return rank(lat) == lat.n
 
 
-def graph_from_lattice(
-    lat: CoverLattice, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> LabeledBipartiteGraph:
+def graph_from_lattice(lat: CoverLattice) -> LabeledBipartiteGraph:
     """The unique labeled bipartite graph whose cover x-parts reproduce lat.
 
     Edge rule: (i, j) is present iff every element containing j also
-    contains i. Each call re-derives the cover family of the result and
-    checks it lands back on the input; a mismatch aborts loudly, so a
-    returned graph is certified correct for its instance.
+    contains i, that is iff i lies in pred[j]. Each call reads the relation
+    back from the graph's edges and checks that its down-sets are the input
+    elements; a mismatch aborts loudly, so a returned graph is certified
+    correct for its instance.
     """
     n = lat.n
-    full = frozenset(range(1, n + 1))
-    edges: set[tuple[int, int]] = set()
-    for j in range(1, n + 1):
-        forced = full
-        for a in lat.elements:
-            if j in a:
-                forced = forced & a
-        edges.update((i, j) for i in forced)
-    lg = LabeledBipartiteGraph(n, frozenset(edges))
-    covers = enumerate_minimal_covers(as_graph(lg), max_vertices=max_vertices)
-    reproduced = set(x_parts(lg, covers))
-    if reproduced != set(lat.elements):
+    masks = {_to_mask(e) for e in lat.elements}
+    pred = _preorder(masks, n)
+    edges = frozenset((i, j + 1) for j, p in enumerate(pred) for i in _mask_to_set(p))
+    lg = LabeledBipartiteGraph(n, edges)
+    back = [0] * n
+    for i, j in lg.edges:
+        back[j - 1] |= 1 << (i - 1)
+    if _downsets(back, len(masks)) != masks:
         raise InconsistencyError(
             "reconstructed cover lattice differs from the input lattice",
             details={
                 "n": n,
                 "input_elements": [sorted(e) for e in lat.elements],
-                "reproduced_elements": sorted(sorted(e) for e in reproduced),
                 "edges": sorted(lg.edges),
             },
         )
     return lg
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length())
-        mask ^= low
-    return frozenset(out)
-
-
-def _masks_closed(family: set[int]) -> bool:
-    ordered = sorted(family)
-    for idx, a in enumerate(ordered):
-        for b in ordered[idx + 1 :]:
-            if (a | b) not in family or (a & b) not in family:
-                return False
-    return True
 
 
 def enumerate_sublattices(n: int) -> Iterator[CoverLattice]:
@@ -250,39 +261,26 @@ def enumerate_sublattices(n: int) -> Iterator[CoverLattice]:
     full = (1 << n) - 1
     middle = list(range(1, full))
     for combo in range(1 << len(middle)):
-        family = {0, full}
-        for t in range(len(middle)):
-            if combo >> t & 1:
-                family.add(middle[t])
-        if _masks_closed(family):
+        family = {0, full, *(m for t, m in enumerate(middle) if combo >> t & 1)}
+        if _is_downset_family(family, n):
             yield CoverLattice(n, tuple(_mask_to_set(s) for s in sorted(family)))
 
 
 def random_sublattice(n: int, generator_count: int, seed: int) -> CoverLattice:
     """Union/intersection closure of seeded random subsets plus the two bounds.
 
-    Deterministic per (n, generator_count, seed). The closure can never
-    exceed the 2^n subsets of the ground set.
+    Deterministic per (n, generator_count, seed). The closure is the set of
+    down-sets of the preorder the draws induce, at most the 2^n subsets of
+    the ground set.
     """
     if not 1 <= n <= 16:
         raise LatticeError(f"random generation is limited to 1 <= n <= 16, got {n}")
     if generator_count < 0:
         raise LatticeError("generator_count must be non-negative")
     rng = random.Random(seed)
-    full = (1 << n) - 1
-    closed: set[int] = {0, full}
-    pending = [rng.getrandbits(n) for _ in range(generator_count)]
-    while pending:
-        e = pending.pop()
-        if e in closed:
-            continue
-        fresh: set[int] = set()
-        for f in closed:
-            for c in (e | f, e & f):
-                if c not in closed and c != e:
-                    fresh.add(c)
-        closed.add(e)
-        pending.extend(fresh)
+    drawn = {0, (1 << n) - 1}
+    drawn.update(rng.getrandbits(n) for _ in range(generator_count))
+    closed = _downsets(_preorder(drawn, n), 1 << n)
     return CoverLattice(n, tuple(_mask_to_set(s) for s in sorted(closed)))
 
 

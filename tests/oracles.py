@@ -3,8 +3,9 @@
 Everything here trades efficiency for obviousness and shares no code with
 the package internals: covers come from filtering every vertex subset, rank
 comes from cofactor-expansion minors, odd cycles come from adjacency-matrix
-powers, and chain length comes from dynamic programming over the full
-subset order.
+powers, chain length comes from dynamic programming over the full subset
+order, and the sublattice a family generates comes from adding pairwise
+unions and intersections until nothing changes.
 """
 
 from __future__ import annotations
@@ -102,6 +103,18 @@ def longest_chain_cardinality(elements) -> int:
         below = [best[j] for j in range(i) if elems[j] < e]
         best.append(1 + (max(below) if below else 0))
     return max(best) if best else 0
+
+
+def brute_force_closure(family, n: int) -> frozenset[frozenset[int]]:
+    """Add both bounds, then pairwise unions and intersections until nothing changes."""
+    closed = {frozenset(e) for e in family} | {frozenset(), frozenset(range(1, n + 1))}
+    while True:
+        grown = closed | {a | b for a in closed for b in closed} | {
+            a & b for a in closed for b in closed
+        }
+        if grown == closed:
+            return frozenset(closed)
+        closed = grown
 
 
 def random_graph(rng, max_vertices: int = 14) -> Graph:

@@ -1,7 +1,14 @@
+import itertools
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coverlattice
 from coverlattice.cli import main
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT
@@ -127,6 +134,41 @@ class TestFromLattice:
         assert "certificate" in err
         assert "{1} | {2} = {1,2}" in err
 
+    def test_long_chain_past_the_enumeration_cap(self, write, capsys):
+        # 26 vertices, over the default enumeration cap of 24: the inverse
+        # construction reads the graph off the lattice and enumerates nothing
+        text = "n=13\n{}\n1\n1,2\n1,2,3\n1,2,3,4\n" + ",".join(map(str, range(1, 14))) + "\n"
+        assert main(["from-lattice", write("l.txt", text)]) == 0
+        captured = capsys.readouterr()
+        # j <= 4 sits above 1..j only; every j >= 5 lies in the top class
+        pairs = [(i, j) for i in range(1, 14) for j in range(1, 14) if j >= 5 or i <= j]
+        assert captured.out == "n=13\n" + "".join(f"{i} {j}\n" for i, j in pairs)
+        assert "round-trip=ok" in captured.err
+
+    def test_limit_bounds_the_downset_build(self, write):
+        # {} and the 40 singletons induce the discrete preorder with 2^40
+        # down-sets; only the limit stops the build after |family| of them.
+        # A child process with a time and memory cap turns a dropped limit
+        # into a failure rather than a hang.
+        text = "n=40\n{}\n" + "".join(f"{i}\n" for i in range(1, 41))
+        path = write("l.txt", text)
+        memory = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(coverlattice.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "coverlattice.cli", "from-lattice", path],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=cap_memory,
+            env=env,
+        )
+        assert done.returncode == 2
+        assert "certificate: {1} | {2} = {1,2} is missing" in done.stderr
+
 
 class TestVerify:
     def test_exhaustive_n2(self, capsys):
@@ -210,3 +252,17 @@ class TestGen:
 
         lg = parse_labeled(graph_file.read_text())
         assert lg.n == 3
+
+    def test_forty_generators_at_n14_give_the_boolean_lattice(self, tmp_path, capsys):
+        graph_file = tmp_path / "graph.txt"
+        argv = ["gen", "--n", "14", "--generators", "40", "--seed", "0", "--graph-out", str(graph_file)]
+        assert main(argv) == 0
+        subsets = [
+            ",".join(map(str, c)) or "{}"
+            for size in range(15)
+            for c in itertools.combinations(range(1, 15), size)
+        ]
+        out = capsys.readouterr().out
+        assert out.count("\n") == 16385
+        assert out == "n=14\n" + "".join(s + "\n" for s in subsets)
+        assert graph_file.read_text() == "n=14\n" + "".join(f"{i} {i}\n" for i in range(1, 15))

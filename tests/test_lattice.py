@@ -19,7 +19,7 @@ from coverlattice import (
     rank,
 )
 
-from oracles import longest_chain_cardinality
+from oracles import brute_force_closure, longest_chain_cardinality
 
 EMPTY = frozenset()
 
@@ -108,11 +108,13 @@ class TestHasseAndRank:
         assert not is_full(lat(2, (), {1, 2}))
         assert is_full(lat(1, (), {1}))
 
-    def test_gradedness_holds_on_all_small_lattices(self):
-        # rank() raises if some pair of maximal chains disagrees in length
-        for n in (1, 2, 3):
+    def test_rank_equals_longest_chain_on_all_small_lattices(self):
+        checked = 0
+        for n in (1, 2, 3, 4):
             for built in enumerate_sublattices(n):
-                rank(built)
+                assert rank(built) == longest_chain_cardinality(built.elements) - 1
+                checked += 1
+        assert checked == 1 + 4 + 29 + 355
 
 
 def _power_set(n):
@@ -203,6 +205,57 @@ class TestRandomSublattice:
             for b in elems:
                 assert a | b in elems
                 assert a & b in elems
+
+
+def _subset(mask):
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@st.composite
+def families(draw):
+    """A family over 1..n, n <= 6: random, a closed one, or a closed one less an element."""
+    n = draw(st.integers(1, 6))
+    family = {_subset(m) for m in draw(st.sets(st.integers(0, (1 << n) - 1), max_size=10))}
+    if draw(st.booleans()):
+        family = set(brute_force_closure(family, n))
+        if draw(st.booleans()):
+            family.discard(draw(st.sampled_from(sorted(family, key=sorted))))
+    return n, family
+
+
+class TestAgainstClosureOracle:
+    @given(families())
+    @settings(deadline=None, max_examples=300)
+    def test_verdict_matches_oracle(self, drawn):
+        n, family = drawn
+        ok, _ = is_sublattice(family, n)
+        assert ok == (brute_force_closure(family, n) == family)
+
+    @given(families())
+    @settings(deadline=None, max_examples=300)
+    def test_every_certificate_is_true(self, drawn):
+        n, family = drawn
+        ok, cert = is_sublattice(family, n)
+        if ok:
+            assert cert is None
+        elif cert.kind in ("union", "intersection"):
+            assert cert.left in family and cert.right in family
+            op = frozenset.union if cert.kind == "union" else frozenset.intersection
+            assert op(cert.left, cert.right) == cert.missing
+            assert cert.missing not in family
+        elif cert.kind == "missing-bottom":
+            assert EMPTY not in family
+        else:
+            assert cert.kind == "missing-top"
+            assert frozenset(range(1, n + 1)) not in family
+
+    @given(st.integers(1, 6), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=200)
+    def test_random_sublattice_is_oracle_closure(self, n, generators, seed):
+        rng = random.Random(seed)
+        drawn = [_subset(rng.getrandbits(n)) for _ in range(generators)]
+        built = random_sublattice(n, generators, seed)
+        assert set(built.elements) == brute_force_closure(drawn, n)
 
 
 class TestModularIndicatorIdentity:
