@@ -42,7 +42,6 @@ from .lattice import (
     graph_from_lattice,
     hasse,
     hasse_to_dot,
-    is_full,
     is_sublattice,
     lattice_from_covers,
     parse_lattice,
@@ -57,9 +56,8 @@ from .algebra import (
     cover_vector,
     dimension_report,
     format_report,
-    growth_oracle,
-    hilbert_counts,
     monomial_string,
+    multichain_counts,
     rank_exact,
     rank_mod,
 )
@@ -98,16 +96,14 @@ __all__ = [
     "format_report",
     "graph_from_edges",
     "graph_from_lattice",
-    "growth_oracle",
     "hall_condition_holds",
     "hasse",
     "hasse_to_dot",
-    "hilbert_counts",
-    "is_full",
     "is_sublattice",
     "is_unmixed",
     "lattice_from_covers",
     "monomial_string",
+    "multichain_counts",
     "neighborhood",
     "parse_graph",
     "parse_labeled",

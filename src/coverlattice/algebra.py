@@ -6,12 +6,17 @@ cover monomials equals the rank of that matrix over the rationals; the
 package computes it fraction-free, ties it to the lattice rank, and raises
 an InconsistencyError carrying the full instance whenever any of the
 identities between those quantities fails.
+
+The semigroup ring is the Hibi ring of the cover lattice L (Hibi 1987;
+Herzog-Hibi-Ohsugi, arXiv:0811.0747): its degree-t monomials correspond to
+the multichains A_1 <= ... <= A_t of L, so multichain_counts is its Hilbert
+function, and the degree of that polynomial is the lattice rank exactly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 
 from .covers import Cover
 from .exceptions import CoverError, InconsistencyError
@@ -28,8 +33,7 @@ __all__ = [
     "rank_exact",
     "rank_mod",
     "dimension_report",
-    "hilbert_counts",
-    "growth_oracle",
+    "multichain_counts",
     "format_report",
 ]
 
@@ -179,9 +183,11 @@ class DimensionReport:
     dimension: int
     dim_matches_lattice_rank: bool
     cohen_macaulay: bool
+    matrix: ExponentMatrix = field(repr=False)  # the rows rank_full was taken from
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """Every field but the matrix."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "matrix"}
 
 
 def dimension_report(
@@ -232,57 +238,25 @@ def dimension_report(
         dimension=dimension,
         dim_matches_lattice_rank=dimension == lattice_rank + 1,
         cohen_macaulay=cm,
+        matrix=full_m,
     )
 
 
-def hilbert_counts(rows: Sequence[Sequence[int]], max_degree: int) -> list[int]:
-    """Number of distinct sums of exactly t rows (repetition allowed), t = 1..max_degree.
+def multichain_counts(lat: CoverLattice, max_length: int) -> list[int]:
+    """Number of multichains A_1 <= ... <= A_t of lattice elements, t = 1..max_length.
 
-    Sums are packed into one int, 4 bits per coordinate; with max_degree at
-    most 12 and 0/1 entries no nibble can reach 16, so packed addition is
-    plain addition.
+    Dynamic programming over the subset order of the elements: the
+    multichains of length t + 1 that end at B extend those of length t that
+    end at some A <= B.
     """
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
-    if max_degree > 12:
-        raise ValueError("packing allows max_degree at most 12")
-    width = len(rows[0])
-    packed = []
-    for r in rows:
-        if any(e not in (0, 1) for e in r):
-            raise ValueError("expected 0/1 rows")
-        packed.append(sum(e << (4 * i) for i, e in enumerate(r)))
-    if len(set(packed)) != len(packed) or len({len(r) for r in rows} | {width}) != 1:
-        raise ValueError("rows must be distinct and of equal length")
-    counts: list[int] = []
-    current = {0}
-    for _ in range(max_degree):
-        current = {s + g for s in current for g in packed}
-        counts.append(len(current))
+    elems = lat.elements
+    below = [[i for i, a in enumerate(elems) if a <= b] for b in elems]
+    ending = [1] * len(elems)
+    counts = []
+    for _ in range(max_length):
+        counts.append(sum(ending))
+        ending = [sum(ending[i] for i in idx) for idx in below]
     return counts
-
-
-def growth_oracle(matrix: ExponentMatrix, max_degree: int = 10) -> int | None:
-    """Dimension estimate from the growth of the count of degree-t products.
-
-    The count of distinct t-fold row sums eventually grows like a polynomial
-    whose degree is the dimension minus one. The degree is read off via
-    iterated finite differences: the first level whose last three values
-    coincide. Returns that degree plus one, or None when no level stabilizes
-    within max_degree (inconclusive, not a failure).
-    """
-    d = len(matrix.rows)
-    if d > 12 or matrix.n > 6 or max_degree > 12:
-        raise ValueError("state-space guard: need d <= 12, n <= 6, max_degree <= 12")
-    counts = hilbert_counts(matrix.rows, max_degree)
-    level = list(counts)
-    degree = 0
-    while len(level) >= 3:
-        if level[-1] == level[-2] == level[-3]:
-            return degree + 1
-        level = [b - a for a, b in zip(level, level[1:])]
-        degree += 1
-    return None
 
 
 def format_report(report: DimensionReport) -> str:

@@ -28,7 +28,6 @@ __all__ = [
     "lattice_from_covers",
     "hasse",
     "rank",
-    "is_full",
     "graph_from_lattice",
     "enumerate_sublattices",
     "random_sublattice",
@@ -193,16 +192,25 @@ class HasseDiagram:
 
 
 def hasse(lat: CoverLattice) -> HasseDiagram:
-    """Edges (A, B) with A strictly below B and nothing of the lattice between."""
-    nodes = lat.elements
-    edges = [
-        (a, b)
-        for a in nodes
-        for b in nodes
-        if a < b and not any(a < c < b for c in nodes)
-    ]
+    """Edges (A, B) with A strictly below B and nothing of the lattice between.
+
+    Every element above A is a down-set holding some j outside A, so it
+    contains A | pred[j], itself a down-set and hence an element. The
+    elements covering A are therefore the minimal sets among those unions,
+    which makes the diagram O(|L| * n^2) rather than cubic in |L|.
+    """
+    masks = [_to_mask(e) for e in lat.elements]
+    pred = _preorder(masks, lat.n)
+    edges = []
+    for a, am in zip(lat.elements, masks):
+        above = {am | p for j, p in enumerate(pred) if not am >> j & 1}
+        edges.extend(
+            (a, _mask_to_set(b))
+            for b in above
+            if not any(c != b and c & b == c for c in above)
+        )
     edges.sort(key=lambda ab: (_element_key(ab[0]), _element_key(ab[1])))
-    return HasseDiagram(nodes, tuple(edges))
+    return HasseDiagram(lat.elements, tuple(edges))
 
 
 def rank(lat: CoverLattice) -> int:
@@ -213,11 +221,6 @@ def rank(lat: CoverLattice) -> int:
     pred[j] of its preorder.
     """
     return len(set(_preorder([_to_mask(e) for e in lat.elements], lat.n)))
-
-
-def is_full(lat: CoverLattice) -> bool:
-    """Rank equals n. Full lattices belong to the Cohen-Macaulay graphs."""
-    return rank(lat) == lat.n
 
 
 def graph_from_lattice(lat: CoverLattice) -> LabeledBipartiteGraph:

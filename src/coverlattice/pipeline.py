@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import DimensionReport, build_matrices, dimension_report, growth_oracle
+from .algebra import DimensionReport, dimension_report, multichain_counts
 from .covers import (
     DEFAULT_MAX_VERTICES,
     Cover,
@@ -19,9 +19,6 @@ from .graphs import Bipartition, Graph, LabeledBipartiteGraph, as_graph, biparti
 from .lattice import CoverLattice, graph_from_lattice, lattice_from_covers
 
 __all__ = ["GraphAnalysis", "LatticeVerification", "analyze_graph", "verify_lattice"]
-
-GROWTH_MAX_ROWS = 12
-GROWTH_MAX_PAIRS = 6
 
 
 @dataclass(frozen=True)
@@ -51,12 +48,7 @@ def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAn
     if part is None or not unmixed:
         return GraphAnalysis(g, part, covers, unmixed)
     labeled, relabeling = relabel(g, part, covers)
-    labeled_covers = enumerate_minimal_covers(as_graph(labeled), max_vertices=max_vertices)
-    if len(labeled_covers) != len(covers):
-        raise InconsistencyError(
-            "relabeled graph has a different number of minimal covers",
-            details={"original": len(covers), "relabeled": len(labeled_covers)},
-        )
+    labeled_covers = relabeling.map_covers(covers)
     lat = lattice_from_covers(x_parts(labeled, labeled_covers), labeled.n)
     report = dimension_report(labeled, labeled_covers, lat)
     return GraphAnalysis(
@@ -71,15 +63,12 @@ class LatticeVerification:
     lattice: CoverLattice
     labeled: LabeledBipartiteGraph
     report: DimensionReport
-    growth_dimension: int | None  # None when skipped or inconclusive
-    growth_skipped: bool  # True when the state-space guard excluded the instance
+    growth_dimension: int  # degree of the multichain count plus one
+    growth_skipped: bool = False  # always False; kept for bench/tracing.py, which reads it
 
 
 def verify_lattice(
-    lat: CoverLattice,
-    growth_max_degree: int = 10,
-    use_growth: bool = True,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
+    lat: CoverLattice, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> LatticeVerification:
     """Drive one lattice instance through the whole verification pipeline.
 
@@ -87,10 +76,10 @@ def verify_lattice(
     top of that this enumerates the graph's minimal covers (Bron-Kerbosch)
     and checks that their x-parts reproduce the lattice, an independent
     route back from the graph. It then computes the dimension report, which
-    ties the preorder rank to the exact matrix ranks, and cross-checks the
-    dimension against the growth estimate when the state-space guard
-    allows. Any violation raises InconsistencyError; inconclusive growth is
-    reported, not raised.
+    ties the preorder rank to the exact matrix ranks, and checks the
+    dimension against the Hilbert function of the cover semigroup ring: the
+    multichain count M(t) of the lattice, whose degree must be rank_full - 1.
+    Any violation raises InconsistencyError.
     """
     lg = graph_from_lattice(lat)
     covers = enumerate_minimal_covers(as_graph(lg), max_vertices=max_vertices)
@@ -104,24 +93,24 @@ def verify_lattice(
             },
         )
     report = dimension_report(lg, covers, lat)
-    matrix, _ = build_matrices(covers, lg)
-    growth: int | None = None
-    skipped = True
-    if (
-        use_growth
-        and len(matrix.rows) <= GROWTH_MAX_ROWS
-        and matrix.n <= GROWTH_MAX_PAIRS
-        and growth_max_degree <= 12
-    ):
-        skipped = False
-        growth = growth_oracle(matrix, growth_max_degree)
-        if growth is not None and growth != report.rank_full:
-            raise InconsistencyError(
-                f"growth estimate {growth} disagrees with exact rank {report.rank_full}",
-                details={
-                    "n": lat.n,
-                    "lattice": [sorted(e) for e in lat.elements],
-                    "rows": [list(r) for r in matrix.rows],
-                },
-            )
-    return LatticeVerification(lat, lg, report, growth, skipped)
+    # M(t) = sum_k s_k * C(t-1, k-1) with s_k the k-element strict chains, so
+    # the forward differences of M at t = 1 are s_1, s_2, ...; r + 2 values
+    # give s_1..s_{r+2}, and the degree is r iff s_{r+1} > 0 = s_{r+2}
+    multichains = multichain_counts(lat, report.lattice_rank + 2)
+    chains, level = [], multichains
+    while level:
+        chains.append(level[0])
+        level = [b - a for a, b in zip(level, level[1:])]
+    growth = max(k for k, s in enumerate(chains) if s) + 1
+    if growth != report.rank_full:
+        raise InconsistencyError(
+            f"multichain count disagrees with rank_full={report.rank_full}: "
+            f"strict chain counts {chains}",
+            details={
+                "n": lat.n,
+                "lattice": [sorted(e) for e in lat.elements],
+                "multichains": multichains,
+                "strict_chains": chains,
+            },
+        )
+    return LatticeVerification(lat, lg, report, growth)

@@ -4,8 +4,10 @@ Everything here trades efficiency for obviousness and shares no code with
 the package internals: covers come from filtering every vertex subset, rank
 comes from cofactor-expansion minors, odd cycles come from adjacency-matrix
 powers, chain length comes from dynamic programming over the full subset
-order, and the sublattice a family generates comes from adding pairwise
-unions and intersections until nothing changes.
+order, the sublattice a family generates comes from adding pairwise
+unions and intersections until nothing changes, Hasse diagrams come from
+testing every triple of elements, and the Hilbert function of the cover
+semigroup ring comes from collecting every distinct sum of t rows.
 """
 
 from __future__ import annotations
@@ -103,6 +105,37 @@ def longest_chain_cardinality(elements) -> int:
         below = [best[j] for j in range(i) if elems[j] < e]
         best.append(1 + (max(below) if below else 0))
     return max(best) if best else 0
+
+
+def brute_force_hasse(elements) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """Pairs (A, B) with A strictly below B and no element strictly between, sorted."""
+    nodes = [frozenset(e) for e in elements]
+    edges = [
+        (a, b)
+        for a in nodes
+        for b in nodes
+        if a < b and not any(a < c < b for c in nodes)
+    ]
+
+    def key(e):
+        return (len(e), tuple(sorted(e)))
+
+    edges.sort(key=lambda ab: (key(ab[0]), key(ab[1])))
+    return edges
+
+
+def hilbert_function(rows, max_degree: int) -> list[int]:
+    """Number of distinct sums of exactly t rows (repetition allowed), t = 1..max_degree.
+
+    The rows generate a semigroup; its degree-t part is the set of these sums,
+    so this is the Hilbert function of the semigroup ring.
+    """
+    counts = []
+    current = {tuple(0 for _ in rows[0])}
+    for _ in range(max_degree):
+        current = {tuple(a + b for a, b in zip(s, r)) for s in current for r in rows}
+        counts.append(len(current))
+    return counts
 
 
 def brute_force_closure(family, n: int) -> frozenset[frozenset[int]]:

@@ -16,9 +16,9 @@ from coverlattice import (
     build_matrices,
     enumerate_minimal_covers,
     enumerate_sublattices,
-    growth_oracle,
     hall_condition_holds,
     is_unmixed,
+    multichain_counts,
     parse_graph,
     random_sublattice,
     rank_exact,
@@ -26,7 +26,12 @@ from coverlattice import (
 )
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT, matching_graph
-from oracles import brute_force_minimal_covers, rank_by_minors
+from oracles import (
+    brute_force_minimal_covers,
+    hilbert_function,
+    longest_chain_cardinality,
+    rank_by_minors,
+)
 
 
 def _line(num: int, ok: bool, text: str) -> None:
@@ -35,16 +40,12 @@ def _line(num: int, ok: bool, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def exhaustive_sweep():
-    """Every bounded sublattice for n = 1..4, driven through all checks.
-
-    The growth cross-check runs for n <= 3 (where it is cheap and must be
-    conclusive); larger instances rely on the exact-rank identities alone.
-    """
+    """Every bounded sublattice for n = 1..4, driven through all checks."""
     start = time.perf_counter()
     results = []
     for n in (1, 2, 3, 4):
         for lat in enumerate_sublattices(n):
-            results.append((n, verify_lattice(lat, growth_max_degree=10, use_growth=n <= 3)))
+            results.append((n, verify_lattice(lat)))
     return results, time.perf_counter() - start
 
 
@@ -57,7 +58,7 @@ def random_sweep():
     for n in (5, 6):
         for _ in range(600):
             lat = random_sublattice(n, master.randint(0, 2 * n + 2), master.getrandbits(32))
-            results.append((n, verify_lattice(lat, use_growth=False)))
+            results.append((n, verify_lattice(lat)))
     return results, time.perf_counter() - start
 
 
@@ -193,27 +194,27 @@ def test_05_full_lattices_reach_top_dimension(exhaustive_sweep, random_sweep):
     assert not failures, "; ".join(failures[:10])
 
 
-def test_06_growth_crosscheck_small_instances(exhaustive_sweep):
+def test_06_growth_crosscheck_small_instances(exhaustive_sweep, random_sweep):
+    """The multichain degree checked in verify_lattice, on every sweep instance."""
     failures = []
     checked = 0
-    for n, outcome in exhaustive_sweep[0]:
-        if n > 3:
-            continue
+    for n, outcome in exhaustive_sweep[0] + random_sweep[0]:
         checked += 1
+        chain = longest_chain_cardinality(outcome.lattice.elements)
         if outcome.growth_skipped:
             failures.append(f"n={n}: growth skipped for {outcome.lattice.elements}")
-        elif outcome.growth_dimension is None:
-            failures.append(f"n={n}: inconclusive growth for {outcome.lattice.elements}")
-        elif outcome.growth_dimension != outcome.report.rank_full:
+        elif not outcome.growth_dimension == outcome.report.rank_full == chain:
             failures.append(
-                f"n={n}: growth {outcome.growth_dimension} != rank {outcome.report.rank_full}"
+                f"n={n}: growth {outcome.growth_dimension}, rank {outcome.report.rank_full}, "
+                f"longest chain {chain}"
             )
     _line(
         6,
         not failures,
-        f"growth cross-check: {checked} instances at n<=3, all conclusive and equal to the exact rank",
+        f"growth cross-check: {checked} instances (n<=4 exhaustive, n=5..6 random), "
+        "multichain degree equal to the exact rank",
     )
-    assert checked == 34  # 1 + 4 + 29
+    assert checked == 1 + 4 + 29 + 355 + 1200
     assert not failures, "; ".join(failures[:10])
 
 
@@ -259,16 +260,26 @@ def test_08_hall_condition_exhaustive(exhaustive_sweep, random_sweep):
 
 
 def test_growth_oracle_agrees_on_mid_size_instances():
-    """Extra coverage beyond the pinned gate: growth at n=4 where guards allow."""
-    hits = 0
+    """The brute-force Hilbert function equals the multichain counts at n = 4.
+
+    Distinct sums of t cover rows, t up to rank + 2 (the levels verify_lattice
+    reads the degree from), on every one of the 355 lattices.
+    """
+    checked = 0
     for lat in enumerate_sublattices(4):
-        outcome = verify_lattice(lat, use_growth=False)
-        matrix, _ = build_matrices(
-            enumerate_minimal_covers(as_graph(outcome.labeled)), outcome.labeled
-        )
-        if len(matrix.rows) <= 6:
-            estimate = growth_oracle(matrix, 10)
-            if estimate is not None:
-                assert estimate == outcome.report.rank_full
-                hits += 1
-    assert hits > 0
+        lg = verify_lattice(lat).labeled
+        matrix, _ = build_matrices(enumerate_minimal_covers(as_graph(lg)), lg)
+        levels = longest_chain_cardinality(lat.elements) + 1
+        assert multichain_counts(lat, levels) == hilbert_function(matrix.rows, levels)
+        checked += 1
+    assert checked == 355
+
+
+def test_analyze_graph_carries_covers_through_the_relabeling(exhaustive_sweep, random_sweep):
+    """analyze_graph's relabeled covers equal a fresh enumeration on the relabeled graph."""
+    checked = 0
+    for _, outcome in exhaustive_sweep[0] + random_sweep[0]:
+        analysis = analyze_graph(as_graph(outcome.labeled))
+        assert analysis.labeled_covers == enumerate_minimal_covers(as_graph(analysis.labeled))
+        checked += 1
+    assert checked == 389 + 1200

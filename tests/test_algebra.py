@@ -14,17 +14,16 @@ from coverlattice import (
     enumerate_minimal_covers,
     format_report,
     graph_from_lattice,
-    growth_oracle,
-    hilbert_counts,
     lattice_from_covers,
     monomial_string,
+    multichain_counts,
     random_sublattice,
     rank_exact,
     rank_mod,
     x_parts,
 )
 
-from oracles import rank_by_minors
+from oracles import hilbert_function, rank_by_minors
 
 K22 = LabeledBipartiteGraph(2, frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}))
 MATCH2 = LabeledBipartiteGraph(2, frozenset({(1, 1), (2, 2)}))
@@ -226,31 +225,40 @@ class TestDimensionReport:
 
 
 class TestGrowth:
+    """multichain_counts is the Hilbert function of the cover semigroup ring."""
+
     def test_linear_counts_for_complete_bipartite(self):
-        covers, _ = _pipeline(K22)
+        covers, lat = _pipeline(K22)
         full, _ = build_matrices(covers, K22)
-        assert hilbert_counts(full.rows, 8) == [t + 1 for t in range(1, 9)]
-        assert growth_oracle(full, 10) == 2
+        expected = [t + 1 for t in range(1, 9)]
+        assert multichain_counts(lat, 8) == expected
+        assert hilbert_function(full.rows, 8) == expected
 
     def test_quadratic_counts_for_matching(self):
-        covers, _ = _pipeline(MATCH2)
+        covers, lat = _pipeline(MATCH2)
         full, _ = build_matrices(covers, MATCH2)
-        assert hilbert_counts(full.rows, 8) == [(t + 1) ** 2 for t in range(1, 9)]
-        assert growth_oracle(full, 10) == 3
+        expected = [(t + 1) ** 2 for t in range(1, 9)]
+        assert multichain_counts(lat, 8) == expected
+        assert hilbert_function(full.rows, 8) == expected
 
     def test_single_edge(self):
-        covers, _ = _pipeline(EDGE1)
+        covers, lat = _pipeline(EDGE1)
         full, _ = build_matrices(covers, EDGE1)
-        assert hilbert_counts(full.rows, 6) == [t + 1 for t in range(1, 7)]
-        assert growth_oracle(full, 10) == 2
+        expected = [t + 1 for t in range(1, 7)]
+        assert multichain_counts(lat, 6) == expected
+        assert hilbert_function(full.rows, 6) == expected
 
-    def test_inconclusive_when_too_few_degrees(self):
-        covers, _ = _pipeline(MATCH2)
-        full, _ = build_matrices(covers, MATCH2)
-        # degree-2 growth cannot stabilize three third-level differences in 4 steps
-        assert growth_oracle(full, 4) is None
+    def test_rank_plus_two_levels_fix_the_degree(self):
+        # M(t) = (t+1)^2 on the Boolean square: forward differences at t=1 are
+        # 4, 5, 2, 0, the counts of 1-, 2-, 3- and 4-element strict chains
+        _, lat = _pipeline(MATCH2)
+        counts = multichain_counts(lat, 4)
+        assert counts == [4, 9, 16, 25]
+        diffs = [counts[0], counts[1] - counts[0], counts[2] - 2 * counts[1] + counts[0]]
+        diffs.append(counts[3] - 3 * counts[2] + 3 * counts[1] - counts[0])
+        assert diffs == [4, 5, 2, 0]
 
-    def test_state_space_guard(self):
+    def test_no_state_space_guard(self):
         from coverlattice import CoverLattice
 
         boolean4 = CoverLattice(
@@ -263,10 +271,17 @@ class TestGrowth:
         big = graph_from_lattice(boolean4)
         covers = enumerate_minimal_covers(as_graph(big))
         full, _ = build_matrices(covers, big)
-        assert len(full.rows) == 16
-        with pytest.raises(ValueError, match="guard"):
-            growth_oracle(full, 10)
-        covers2, _ = _pipeline(K22)
-        m2, _ = build_matrices(covers2, K22)
-        with pytest.raises(ValueError, match="guard"):
-            growth_oracle(m2, 13)
+        assert len(full.rows) == 16  # beyond the old 12-row packing guard
+        expected = [(t + 1) ** 4 for t in range(1, 14)]
+        assert multichain_counts(boolean4, 13) == expected  # beyond degree 12
+        assert hilbert_function(full.rows, 6) == expected[:6]
+
+    @given(st.integers(1, 5), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_brute_force_hilbert_function(self, n, generators, seed):
+        # n <= 5 keeps every instance at 32 covers or fewer
+        lat = random_sublattice(n, generators, seed)
+        lg = graph_from_lattice(lat)
+        covers = enumerate_minimal_covers(as_graph(lg))
+        full, _ = build_matrices(covers, lg)
+        assert multichain_counts(lat, 4) == hilbert_function(full.rows, 4)

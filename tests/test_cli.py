@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import coverlattice
 from coverlattice.cli import main
 
-from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT
+from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT, matching_graph
 
 
 @pytest.fixture
@@ -87,6 +88,25 @@ class TestDim:
     def test_single_edge(self, write, capsys):
         assert main(["dim", write("g.txt", "1 2\n")]) == 0
         assert "dimension=2" in capsys.readouterr().out
+
+    def test_dot_on_twelve_edge_matching_takes_seconds(self, write, tmp_path, capsys):
+        # the Boolean lattice of rank 12: 4096 elements, 12 * 2^11 Hasse edges
+        from coverlattice import serialize_graph
+
+        graph = write("g.txt", serialize_graph(matching_graph(12)))
+        dot = tmp_path / "hasse.dot"
+        start = time.perf_counter()
+        assert main(["dim", graph, "--dot", str(dot)]) == 0
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().out == (
+            "n=12\ncovers=4096\nrank_full=13\nrank_truncated=12\nlattice_rank=12\n"
+            "dimension=13\ndim_matches_lattice_rank=yes\ncohen_macaulay=yes\n"
+            "rank_full_mod2=13\nrank_full_mod3=13\n"
+        )
+        lines = dot.read_text().splitlines()
+        assert sum("->" in line for line in lines) == 12 * 2**11
+        assert len(lines) == 3 + 4096 + 12 * 2**11
+        assert elapsed < 10, f"dim --dot took {elapsed:.1f}s"
 
     def test_mixed_graph_exits_2(self, write, capsys):
         assert main(["dim", write("g.txt", FIVE_VERTEX_TEXT)]) == 2
@@ -176,6 +196,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "instances=4" in out and "failures=0" in out
 
+    def test_exhaustive_n4_checks_growth_everywhere(self, capsys):
+        assert main(["verify", "--n", "4"]) == 0
+        assert capsys.readouterr().out == "instances=355 failures=0 growth_checked=355\n"
+
+    def test_random_size_8_checks_growth_everywhere(self, capsys):
+        assert main(["verify", "--random", "200", "7", "--size", "8", "--format", "json"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert records[-1] == {"summary": {"instances": 200, "failures": 0, "growth_checked": 200}}
+        assert all(r["growth"] == r["dimension"] for r in records[:-1])
+
     def test_exhaustive_n1(self, capsys):
         assert main(["verify", "--n", "1"]) == 0
         assert "instances=1" in capsys.readouterr().out
@@ -217,9 +247,14 @@ class TestExitCodes:
         assert "INCONSISTENCY" in err
 
     def test_no_growth_flag(self, capsys):
-        assert main(["verify", "--n", "2", "--no-growth"]) == 0
-        out = capsys.readouterr().out
-        assert "growth_skipped=4" in out
+        # the growth check has no switches: every instance gets the exact identity
+        assert main(["verify", "--n", "2"]) == 0
+        assert capsys.readouterr().out == "instances=4 failures=0 growth_checked=4\n"
+        for flags in (["--no-growth"], ["--growth-degree", "0"]):
+            with pytest.raises(SystemExit) as info:
+                main(["verify", "--n", "1", *flags])
+            assert info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGen:

@@ -170,6 +170,16 @@ class TestRelabel:
         assert lg.edges == frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
         assert rel.y_source == (4, 2)
 
+    def test_map_covers_gives_the_labeled_graph_covers(self):
+        # path 1-2-3-4: x1=1, x2=3, y1=2, y2=4, so x_i -> i and y_i -> 2 + i
+        g = parse_graph("1 2\n2 3\n3 4\n")
+        covers = enumerate_minimal_covers(g)
+        lg, rel = relabel(g, bipartition(g), covers)
+        assert (rel.x_source, rel.y_source) == ((1, 3), (2, 4))
+        mapped = rel.map_covers(covers)
+        assert mapped == (frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4}))
+        assert mapped == enumerate_minimal_covers(as_graph(lg))
+
 
 class TestXParts:
     def test_complete_bipartite(self, four_cycle):

@@ -11,7 +11,6 @@ from coverlattice import (
     graph_from_lattice,
     hasse,
     hasse_to_dot,
-    is_full,
     is_sublattice,
     lattice_from_covers,
     parse_lattice,
@@ -19,7 +18,7 @@ from coverlattice import (
     rank,
 )
 
-from oracles import brute_force_closure, longest_chain_cardinality
+from oracles import brute_force_closure, brute_force_hasse, longest_chain_cardinality
 
 EMPTY = frozenset()
 
@@ -104,9 +103,28 @@ class TestHasseAndRank:
             assert rank(built) == longest_chain_cardinality(built.elements) - 1
 
     def test_is_full(self):
-        assert is_full(lat(2, (), {1}, {2}, {1, 2}))
-        assert not is_full(lat(2, (), {1, 2}))
-        assert is_full(lat(1, (), {1}))
+        for built, full in (
+            (lat(2, (), {1}, {2}, {1, 2}), True),
+            (lat(2, (), {1, 2}), False),
+            (lat(1, (), {1}), True),
+        ):
+            assert (rank(built) == built.n) is full
+
+    def test_hasse_matches_triple_oracle_on_all_small_lattices(self):
+        checked = 0
+        for n in (1, 2, 3, 4):
+            for built in enumerate_sublattices(n):
+                d = hasse(built)
+                assert d.nodes == built.elements
+                assert list(d.edges) == brute_force_hasse(built.elements)
+                checked += 1
+        assert checked == 1 + 4 + 29 + 355
+
+    def test_hasse_matches_triple_oracle_on_random_lattices(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            built = random_sublattice(rng.randint(5, 7), rng.randint(0, 12), rng.getrandbits(32))
+            assert list(hasse(built).edges) == brute_force_hasse(built.elements)
 
     def test_rank_equals_longest_chain_on_all_small_lattices(self):
         checked = 0

@@ -1,9 +1,18 @@
+import random
+
+import pytest
+
 from coverlattice import (
     CoverLattice,
+    InconsistencyError,
     analyze_graph,
     parse_graph,
+    random_sublattice,
+    rank,
     verify_lattice,
 )
+
+from oracles import longest_chain_cardinality
 
 
 class TestAnalyzeGraph:
@@ -43,7 +52,7 @@ class TestVerifyLattice:
         assert not outcome.growth_skipped
         assert outcome.growth_dimension == outcome.report.rank_full == 2
 
-    def test_growth_guard_skips_large_instance(self):
+    def test_growth_checked_on_large_instance(self):
         boolean4 = CoverLattice(
             4,
             tuple(
@@ -52,14 +61,31 @@ class TestVerifyLattice:
             ),
         )
         outcome = verify_lattice(boolean4)
-        assert outcome.growth_skipped
-        assert outcome.growth_dimension is None
-        assert outcome.report.dimension == 5
+        assert not outcome.growth_skipped
+        assert outcome.growth_dimension == outcome.report.dimension == 5
 
-    def test_use_growth_false_skips(self):
-        lat = CoverLattice(1, (frozenset(), frozenset({1})))
-        outcome = verify_lattice(lat, use_growth=False)
-        assert outcome.growth_skipped and outcome.growth_dimension is None
+    def test_growth_never_skipped(self):
+        rng = random.Random(3)
+        for _ in range(40):
+            lat = random_sublattice(8, rng.randint(0, 18), rng.getrandbits(32))
+            outcome = verify_lattice(lat)
+            assert not outcome.growth_skipped
+            assert outcome.growth_dimension == longest_chain_cardinality(lat.elements)
+
+    @pytest.mark.parametrize("wrong_rank", [1, 3])
+    def test_wrong_degree_raises(self, monkeypatch, wrong_rank):
+        from coverlattice import pipeline
+
+        def boolean_counts(lat, max_length):
+            # the Hilbert function (t+1)^r of the Boolean lattice of rank r
+            return [(t + 1) ** wrong_rank for t in range(1, max_length + 1)]
+
+        monkeypatch.setattr(pipeline, "multichain_counts", boolean_counts)
+        lat = CoverLattice(2, (frozenset(), frozenset({1}), frozenset({1, 2})))
+        assert rank(lat) == 2
+        with pytest.raises(InconsistencyError, match="multichain") as info:
+            verify_lattice(lat)
+        assert info.value.details["lattice"] == [[], [1], [1, 2]]
 
     def test_labeled_graph_matches_lattice(self):
         lat = CoverLattice(2, (frozenset(), frozenset({1}), frozenset({1, 2})))
