@@ -2,10 +2,18 @@
 
 Each minimal cover of a labeled graph becomes a 0/1 row of length 2n (x
 coordinates first, then y). The dimension of the semigroup generated by the
-cover monomials equals the rank of that matrix over the rationals; the
-package computes it fraction-free, ties it to the lattice rank, and raises
-an InconsistencyError carrying the full instance whenever any of the
-identities between those quantities fails.
+cover monomials equals the rank of that matrix M over the rationals. The
+package takes it from the 2n x 2n Gram matrix G = M^T M, whose entry (a, b)
+counts the covers holding both coordinates a and b: for a rational vector
+v, v^T G v = |Mv|^2 vanishes only when Mv does, so G and M have the same
+kernel and the same rank, and the leading n x n block of G is the Gram
+matrix of the x-side truncation. G has at most 2n rows where M has one per
+cover, and the rank of M is at most n + 1. Both ranks are computed
+fraction-free, tied to the lattice rank, and any failure of the identities
+between those quantities raises an InconsistencyError carrying the full
+instance. The identity fails over a field of characteristic p (a nonzero
+vector can have |Mv|^2 = 0 there), so rank_mod eliminates on the cover
+matrix itself, transposed.
 
 The semigroup ring is the Hibi ring of the cover lattice L (Hibi 1987;
 Herzog-Hibi-Ohsugi, arXiv:0811.0747): its degree-t monomials correspond to
@@ -17,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from math import isqrt
 
 from .covers import Cover
 from .exceptions import CoverError, InconsistencyError
@@ -146,28 +155,27 @@ def rank_exact(rows: Sequence[Sequence[int]]) -> int:
 
 
 def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over the field with p elements (p prime). Diagnostic only."""
-    if p < 2:
+    """Rank over the field with p elements (p prime). Diagnostic only.
+
+    Eliminates on the transpose, which has the same rank: a cover matrix has
+    2n columns and one row per cover, so the transpose has few long rows.
+    """
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError("p must be a prime >= 2")
-    m = [[int(e) % p for e in r] for r in rows]
-    if not m:
-        return 0
-    width = len(m[0])
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
+    m = [[int(e) % p for e in col] for col in zip(*rows)]
     pivots = 0
-    for col in range(width):
-        piv = next((r for r in range(pivots, len(m)) if m[r][col]), None)
-        if piv is None:
+    for i, row in enumerate(m):
+        col = next((c for c, e in enumerate(row) if e), None)
+        if col is None:
             continue
-        m[pivots], m[piv] = m[piv], m[pivots]
-        inv = pow(m[pivots][col], -1, p)
-        m[pivots] = [(e * inv) % p for e in m[pivots]]
-        for r in range(len(m)):
-            if r != pivots and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[pivots])]
         pivots += 1
-        if pivots == len(m):
-            break
+        inv = pow(row[col], -1, p)
+        for r in range(i + 1, len(m)):
+            f = m[r][col] * inv % p
+            if f:
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], row)]
     return pivots
 
 
@@ -183,7 +191,7 @@ class DimensionReport:
     dimension: int
     dim_matches_lattice_rank: bool
     cohen_macaulay: bool
-    matrix: ExponentMatrix = field(repr=False)  # the rows rank_full was taken from
+    matrix: ExponentMatrix = field(repr=False)  # the rows whose Gram matrix gave rank_full
 
     def as_dict(self) -> dict:
         """Every field but the matrix."""
@@ -201,9 +209,13 @@ def dimension_report(
     with the whole instance attached; on genuine inputs that never happens,
     so a raise is a bug alarm worth keeping loud.
     """
-    full_m, trunc_m = build_matrices(covers, lg)
-    rank_full = rank_exact(full_m.rows)
-    rank_trunc = rank_exact(trunc_m.rows)
+    full_m, _ = build_matrices(covers, lg)
+    # column c as a bitmask over the rows; the rows are 0/1, so popcounts of
+    # the pairwise intersections are the entries of M^T M
+    columns = [int("".join(map(str, col)), 2) for col in zip(*full_m.rows)]
+    gram = [[(a & b).bit_count() for b in columns] for a in columns]
+    rank_full = rank_exact(gram)
+    rank_trunc = rank_exact([row[: lg.n] for row in gram[: lg.n]])
     lattice_rank = rank(lat)
     dimension = rank_full
     cm = lattice_rank == lg.n

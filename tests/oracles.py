@@ -63,14 +63,19 @@ def _det(matrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
     return total
 
 
-def rank_by_minors(matrix) -> int:
-    """Largest k such that some k x k minor has nonzero determinant."""
+def rank_by_minors(matrix, p: int | None = None) -> int:
+    """Largest k such that some k x k minor has nonzero determinant.
+
+    With a prime p, the rank over the field with p elements: a minor counts
+    when its determinant is not divisible by p.
+    """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     for k in range(min(m, n), 0, -1):
         for rows in itertools.combinations(range(m), k):
             for cols in itertools.combinations(range(n), k):
-                if _det(matrix, rows, cols) != 0:
+                det = _det(matrix, rows, cols)
+                if (det % p if p else det) != 0:
                     return k
     return 0
 

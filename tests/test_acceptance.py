@@ -117,6 +117,17 @@ def test_02_four_cycle_full_pipeline():
     assert not failures, "; ".join(failures)
 
 
+def _gram_route_failures(report):
+    """The ranks taken from the Gram matrix, against elimination on the cover rows."""
+    n, rows = report.n, report.matrix.rows
+    failures = []
+    if report.rank_full != rank_exact(rows):
+        failures.append(f"n={n}: rank_full differs from the rank of the rows ({report})")
+    if report.rank_truncated != rank_exact([r[:n] for r in rows]):
+        failures.append(f"n={n}: rank_truncated differs from the rank of the x columns ({report})")
+    return failures
+
+
 def test_03_exhaustive_sweep_identities(exhaustive_sweep):
     results, elapsed = exhaustive_sweep
     by_n = {}
@@ -132,6 +143,7 @@ def test_03_exhaustive_sweep_identities(exhaustive_sweep):
             failures.append(f"n={n}: rank_truncated != lattice_rank ({report})")
         if report.dimension != report.lattice_rank + 1:
             failures.append(f"n={n}: dimension != lattice_rank + 1 ({report})")
+        failures.extend(_gram_route_failures(report))
     if by_n != {1: 1, 2: 4, 3: 29, 4: 355}:
         failures.append(f"instance counts {by_n} changed")
     if elapsed >= 300:
@@ -156,6 +168,7 @@ def test_04_random_sweep_identities(random_sweep):
             failures.append(f"n={n}: truncated rank identity ({report})")
         if report.dimension != report.lattice_rank + 1:
             failures.append(f"n={n}: dimension identity ({report})")
+        failures.extend(_gram_route_failures(report))
     if len(results) < 1000:
         failures.append(f"only {len(results)} instances, need >= 1000")
     if elapsed >= 300:

@@ -165,6 +165,16 @@ class TestRankExact:
         with pytest.raises(ValueError):
             rank_exact([[1, 2], [3]])
 
+    @given(st.integers(0, 10_000), st.sampled_from([(0, 1), (-3, 3)]))
+    @settings(deadline=None)
+    def test_gram_matrix_has_the_rank_of_the_matrix(self, seed, entries):
+        # v^T (M^T M) v = |Mv|^2, so over Q the Gram matrix keeps M's rank
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        m = [[rng.randint(*entries) for _ in range(cols)] for _ in range(rows)]
+        gram = [[sum(r[a] * r[b] for r in m) for b in range(cols)] for a in range(cols)]
+        assert rank_exact(gram) == rank_by_minors(m)
+
 
 class TestRankMod:
     def test_mod2_can_drop(self):
@@ -177,6 +187,27 @@ class TestRankMod:
     def test_matches_char0_on_01_identity(self):
         eye = [[int(i == j) for j in range(4)] for i in range(4)]
         assert rank_mod(eye, 2) == 4
+
+    def test_ragged_rejected(self):
+        with pytest.raises(ValueError, match="ragged"):
+            rank_mod([[1, 2], [3]], 3)
+        with pytest.raises(ValueError, match="ragged"):
+            rank_mod([[1], [2, 3]], 3)  # a transpose would drop the 3 silently
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 15])
+    def test_non_prime_rejected(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            rank_mod([[3, 1]], p)
+        with pytest.raises(ValueError, match="prime"):
+            rank_mod([[2, 0], [0, 2]], p)
+
+    @given(st.integers(0, 10_000), st.sampled_from([2, 3, 5]))
+    @settings(deadline=None)
+    def test_matches_minor_oracle_mod_p(self, seed, p):
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        assert rank_mod(m, p) == rank_by_minors(m, p)
 
 
 class TestDimensionReport:

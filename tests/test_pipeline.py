@@ -87,6 +87,30 @@ class TestVerifyLattice:
             verify_lattice(lat)
         assert info.value.details["lattice"] == [[], [1], [1, 2]]
 
+    @pytest.mark.parametrize("lost", range(4))
+    def test_lost_cover_raises(self, monkeypatch, lost):
+        # losing the all-x or the all-y cover leaves x-parts that are no lattice
+        from coverlattice import pipeline
+
+        enumerate_all = pipeline.enumerate_minimal_covers
+
+        def drop_one(g, max_vertices):
+            covers = enumerate_all(g, max_vertices=max_vertices)
+            return covers[:lost] + covers[lost + 1 :]
+
+        monkeypatch.setattr(pipeline, "enumerate_minimal_covers", drop_one)
+        boolean2 = CoverLattice(
+            2, (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}))
+        )
+        with pytest.raises(
+            InconsistencyError, match="cover projection does not reproduce the lattice"
+        ) as info:
+            verify_lattice(boolean2)
+        assert info.value.details["expected"] == [[], [1], [2], [1, 2]]
+        actual = info.value.details["actual"]
+        assert len(actual) == 3 and set(map(tuple, actual)) < {(), (1,), (2,), (1, 2)}
+        assert actual == sorted(actual, key=lambda e: (len(e), e))
+
     def test_labeled_graph_matches_lattice(self):
         lat = CoverLattice(2, (frozenset(), frozenset({1}), frozenset({1, 2})))
         outcome = verify_lattice(lat)
