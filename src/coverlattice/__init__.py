@@ -50,11 +50,8 @@ from .lattice import (
 )
 from .algebra import (
     DimensionReport,
-    ExponentMatrix,
-    TruncatedMatrix,
-    build_matrices,
-    cover_vector,
     dimension_report,
+    exponent_rows,
     format_report,
     monomial_string,
     multichain_counts,
@@ -72,7 +69,6 @@ __all__ = [
     "CoverLattice",
     "DEFAULT_MAX_VERTICES",
     "DimensionReport",
-    "ExponentMatrix",
     "GraphAnalysis",
     "Graph",
     "GraphError",
@@ -82,15 +78,13 @@ __all__ = [
     "LatticeError",
     "LatticeVerification",
     "Relabeling",
-    "TruncatedMatrix",
     "analyze_graph",
     "as_graph",
     "bipartition",
-    "build_matrices",
-    "cover_vector",
     "dimension_report",
     "enumerate_minimal_covers",
     "enumerate_sublattices",
+    "exponent_rows",
     "format_covers",
     "format_lattice",
     "format_report",

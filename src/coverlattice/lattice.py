@@ -3,19 +3,21 @@
 The elements come from cover x-parts. By Birkhoff's theorem a bounded
 sublattice is the family of down-sets of one preorder on {1..n}: pred[j],
 the intersection of the members that contain j, holds the elements at or
-below j. CoverLattice accepts a family only if it equals the down-sets of
-its own preorder, so holding one is proof that it contains the empty and
-the full set and is closed under union and intersection. The rank is the
-number of distinct pred[j], and the inverse construction reads off the
-preorder the unique diagonal-labeled bipartite graph whose cover
-projections reproduce the family. Hasse diagrams serve DOT export only.
+below j. CoverLattice computes its element bitmasks and that preorder once,
+when it validates the family, and keeps both: it accepts a family only if
+it equals the down-sets of its own preorder, so holding one is proof that
+it contains the empty and the full set and is closed under union and
+intersection. The rank is the number of distinct pred[j], and the inverse
+construction reads off the preorder the unique diagonal-labeled bipartite
+graph whose cover projections reproduce the family. Hasse diagrams serve
+DOT export only.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Collection, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exceptions import InconsistencyError, LatticeError
 from .graphs import LabeledBipartiteGraph
@@ -115,6 +117,23 @@ def _is_downset_family(masks: set[int], n: int) -> bool:
     return _downsets(_preorder(masks, n), len(masks)) == masks
 
 
+def _validate(
+    elems: Collection[frozenset[int]], n: int
+) -> tuple[list[int], list[int], ClosureCertificate | None]:
+    """The masks of distinct elems, their preorder, and what the family lacks.
+
+    The certificate is None exactly when the family is a bounded sublattice.
+    """
+    for e in elems:
+        if not all(1 <= i <= n for i in e):
+            raise LatticeError(f"element {sorted(e)} is not a subset of 1..{n}")
+    masks = [_to_mask(e) for e in elems]
+    pred = _preorder(masks, n)
+    if _downsets(pred, len(masks)) == set(masks):
+        return masks, pred, None
+    return masks, pred, _certificate(set(elems), n)
+
+
 def is_sublattice(
     family: Iterable[frozenset[int]], n: int
 ) -> tuple[bool, ClosureCertificate | None]:
@@ -123,13 +142,8 @@ def is_sublattice(
     Returns (True, None) or (False, certificate) where the certificate names
     the missing boundary element or a violating pair.
     """
-    elems = {frozenset(e) for e in family}
-    for e in elems:
-        if not all(1 <= i <= n for i in e):
-            raise LatticeError(f"element {sorted(e)} is not a subset of 1..{n}")
-    if _is_downset_family({_to_mask(e) for e in elems}, n):
-        return True, None
-    return False, _certificate(elems, n)
+    _, _, cert = _validate({frozenset(e) for e in family}, n)
+    return cert is None, cert
 
 
 def _certificate(elems: set[frozenset[int]], n: int) -> ClosureCertificate:
@@ -159,19 +173,26 @@ class CoverLattice:
 
     Elements are deduplicated and canonically ordered by (size, sorted
     members); construction fails loudly if the family is not closed.
+    masks[k] is elements[k] as a bitmask (bit i - 1 for member i), and
+    pred[j] is the mask of the points at or below point j + 1 in the
+    preorder; both are computed once, by the validation.
     """
 
     n: int
     elements: tuple[frozenset[int], ...]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    pred: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise LatticeError("need n >= 1")
         canonical = tuple(sorted({frozenset(e) for e in self.elements}, key=_element_key))
-        object.__setattr__(self, "elements", canonical)
-        ok, cert = is_sublattice(canonical, self.n)
-        if not ok:
+        masks, pred, cert = _validate(canonical, self.n)
+        if cert is not None:
             raise LatticeError(f"not a bounded sublattice: {cert}", certificate=cert)
+        object.__setattr__(self, "elements", canonical)
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "pred", tuple(pred))
 
 
 def lattice_from_covers(parts: Iterable[frozenset[int]], n: int) -> CoverLattice:
@@ -199,13 +220,12 @@ def hasse(lat: CoverLattice) -> HasseDiagram:
     elements covering A are therefore the minimal sets among those unions,
     which makes the diagram O(|L| * n^2) rather than cubic in |L|.
     """
-    masks = [_to_mask(e) for e in lat.elements]
-    pred = _preorder(masks, lat.n)
+    element_of = dict(zip(lat.masks, lat.elements))
     edges = []
-    for a, am in zip(lat.elements, masks):
-        above = {am | p for j, p in enumerate(pred) if not am >> j & 1}
+    for a, am in zip(lat.elements, lat.masks):
+        above = {am | p for j, p in enumerate(lat.pred) if not am >> j & 1}
         edges.extend(
-            (a, _mask_to_set(b))
+            (a, element_of[b])
             for b in above
             if not any(c != b and c & b == c for c in above)
         )
@@ -220,7 +240,7 @@ def rank(lat: CoverLattice) -> int:
     join-irreducibles (Birkhoff): here the distinct principal down-sets
     pred[j] of its preorder.
     """
-    return len(set(_preorder([_to_mask(e) for e in lat.elements], lat.n)))
+    return len(set(lat.pred))
 
 
 def graph_from_lattice(lat: CoverLattice) -> LabeledBipartiteGraph:
@@ -233,14 +253,12 @@ def graph_from_lattice(lat: CoverLattice) -> LabeledBipartiteGraph:
     correct for its instance.
     """
     n = lat.n
-    masks = {_to_mask(e) for e in lat.elements}
-    pred = _preorder(masks, n)
-    edges = frozenset((i, j + 1) for j, p in enumerate(pred) for i in _mask_to_set(p))
+    edges = frozenset((i, j + 1) for j, p in enumerate(lat.pred) for i in _mask_to_set(p))
     lg = LabeledBipartiteGraph(n, edges)
     back = [0] * n
     for i, j in lg.edges:
         back[j - 1] |= 1 << (i - 1)
-    if _downsets(back, len(masks)) != masks:
+    if _downsets(back, len(lat.masks)) != set(lat.masks):
         raise InconsistencyError(
             "reconstructed cover lattice differs from the input lattice",
             details={

@@ -50,7 +50,7 @@ def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAn
     labeled, relabeling = relabel(g, part, covers)
     labeled_covers = relabeling.map_covers(covers)
     lat = lattice_from_covers(x_parts(labeled, labeled_covers), labeled.n)
-    report = dimension_report(labeled, labeled_covers, lat)
+    report = dimension_report(labeled, lat)
     return GraphAnalysis(
         g, part, covers, unmixed, labeled, relabeling, labeled_covers, lat, report
     )
@@ -92,7 +92,7 @@ def verify_lattice(
                 "actual": sorted((sorted(e) for e in parts), key=lambda e: (len(e), e)),
             },
         )
-    report = dimension_report(lg, covers, lat)
+    report = dimension_report(lg, lat)
     # M(t) = sum_k s_k * C(t-1, k-1) with s_k the k-element strict chains, so
     # the forward differences of M at t = 1 are s_1, s_2, ...; r + 2 values
     # give s_1..s_{r+2}, and the degree is r iff s_{r+1} > 0 = s_{r+2}

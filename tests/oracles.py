@@ -5,9 +5,11 @@ the package internals: covers come from filtering every vertex subset, rank
 comes from cofactor-expansion minors, odd cycles come from adjacency-matrix
 powers, chain length comes from dynamic programming over the full subset
 order, the sublattice a family generates comes from adding pairwise
-unions and intersections until nothing changes, Hasse diagrams come from
-testing every triple of elements, and the Hilbert function of the cover
-semigroup ring comes from collecting every distinct sum of t rows.
+unions and intersections until nothing changes, the preorder of a lattice
+comes from intersecting the members that contain each point, Hasse
+diagrams come from testing every triple of elements, cover matrix rows come
+from the enumerated covers, and the Hilbert function of the cover semigroup
+ring comes from collecting every distinct sum of t rows.
 """
 
 from __future__ import annotations
@@ -141,6 +143,22 @@ def hilbert_function(rows, max_degree: int) -> list[int]:
         current = {tuple(a + b for a, b in zip(s, r)) for s in current for r in rows}
         counts.append(len(current))
     return counts
+
+
+def preorder_by_intersection(elements, n: int) -> list[frozenset[int]]:
+    """Entry j - 1: the intersection of the members that contain j (the points at or below j)."""
+    return [
+        frozenset.intersection(*(frozenset(e) for e in elements if j in e))
+        for j in range(1, n + 1)
+    ]
+
+
+def cover_rows(covers, n: int) -> list[tuple[int, ...]]:
+    """The 0/1 row of each cover of a labeled graph on 2n vertices, in the given order.
+
+    Coordinate v - 1 is vertex v: x_i is vertex i and y_i is vertex n + i.
+    """
+    return [tuple(int(v in cover) for v in range(1, 2 * n + 1)) for cover in covers]
 
 
 def brute_force_closure(family, n: int) -> frozenset[frozenset[int]]:

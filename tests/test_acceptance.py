@@ -13,7 +13,6 @@ import pytest
 from coverlattice import (
     analyze_graph,
     as_graph,
-    build_matrices,
     enumerate_minimal_covers,
     enumerate_sublattices,
     hall_condition_holds,
@@ -28,6 +27,7 @@ from coverlattice import (
 from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT, matching_graph
 from oracles import (
     brute_force_minimal_covers,
+    cover_rows,
     hilbert_function,
     longest_chain_cardinality,
     rank_by_minors,
@@ -117,9 +117,11 @@ def test_02_four_cycle_full_pipeline():
     assert not failures, "; ".join(failures)
 
 
-def _gram_route_failures(report):
-    """The ranks taken from the Gram matrix, against elimination on the cover rows."""
-    n, rows = report.n, report.matrix.rows
+def _gram_route_failures(outcome):
+    """The report's ranks against elimination on the rows of the enumerated covers."""
+    report = outcome.report
+    n = report.n
+    rows = cover_rows(enumerate_minimal_covers(as_graph(outcome.labeled)), n)
     failures = []
     if report.rank_full != rank_exact(rows):
         failures.append(f"n={n}: rank_full differs from the rank of the rows ({report})")
@@ -143,7 +145,7 @@ def test_03_exhaustive_sweep_identities(exhaustive_sweep):
             failures.append(f"n={n}: rank_truncated != lattice_rank ({report})")
         if report.dimension != report.lattice_rank + 1:
             failures.append(f"n={n}: dimension != lattice_rank + 1 ({report})")
-        failures.extend(_gram_route_failures(report))
+        failures.extend(_gram_route_failures(outcome))
     if by_n != {1: 1, 2: 4, 3: 29, 4: 355}:
         failures.append(f"instance counts {by_n} changed")
     if elapsed >= 300:
@@ -168,7 +170,7 @@ def test_04_random_sweep_identities(random_sweep):
             failures.append(f"n={n}: truncated rank identity ({report})")
         if report.dimension != report.lattice_rank + 1:
             failures.append(f"n={n}: dimension identity ({report})")
-        failures.extend(_gram_route_failures(report))
+        failures.extend(_gram_route_failures(outcome))
     if len(results) < 1000:
         failures.append(f"only {len(results)} instances, need >= 1000")
     if elapsed >= 300:
@@ -281,9 +283,9 @@ def test_growth_oracle_agrees_on_mid_size_instances():
     checked = 0
     for lat in enumerate_sublattices(4):
         lg = verify_lattice(lat).labeled
-        matrix, _ = build_matrices(enumerate_minimal_covers(as_graph(lg)), lg)
+        rows = cover_rows(enumerate_minimal_covers(as_graph(lg)), lg.n)
         levels = longest_chain_cardinality(lat.elements) + 1
-        assert multichain_counts(lat, levels) == hilbert_function(matrix.rows, levels)
+        assert multichain_counts(lat, levels) == hilbert_function(rows, levels)
         checked += 1
     assert checked == 355
 

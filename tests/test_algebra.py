@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coverlattice import (
-    CoverError,
     InconsistencyError,
     LabeledBipartiteGraph,
     as_graph,
-    build_matrices,
-    cover_vector,
     dimension_report,
     enumerate_minimal_covers,
+    enumerate_sublattices,
+    exponent_rows,
     format_report,
     graph_from_lattice,
     lattice_from_covers,
@@ -23,7 +22,7 @@ from coverlattice import (
     x_parts,
 )
 
-from oracles import hilbert_function, rank_by_minors
+from oracles import cover_rows, hilbert_function, rank_by_minors
 
 K22 = LabeledBipartiteGraph(2, frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}))
 MATCH2 = LabeledBipartiteGraph(2, frozenset({(1, 1), (2, 2)}))
@@ -34,27 +33,6 @@ def _pipeline(lg):
     covers = enumerate_minimal_covers(as_graph(lg))
     lat = lattice_from_covers(x_parts(lg, covers), lg.n)
     return covers, lat
-
-
-class TestCoverVector:
-    def test_all_x(self):
-        assert cover_vector(frozenset({1, 2}), K22) == (1, 1, 0, 0)
-
-    def test_all_y(self):
-        assert cover_vector(frozenset({3, 4}), K22) == (0, 0, 1, 1)
-
-    def test_mixed(self):
-        assert cover_vector(frozenset({1, 4}), MATCH2) == (1, 0, 0, 1)
-
-    def test_complementarity_enforced(self):
-        with pytest.raises(CoverError, match="pair"):
-            cover_vector(frozenset({1, 3}), K22)  # x1 and y1 together
-        with pytest.raises(CoverError, match="pair"):
-            cover_vector(frozenset({1}), K22)  # pair 2 absent entirely
-
-    def test_out_of_range(self):
-        with pytest.raises(CoverError, match="range"):
-            cover_vector(frozenset({1, 5}), K22)
 
 
 class TestMonomialString:
@@ -69,52 +47,47 @@ class TestMonomialString:
 
 
 class TestBuildMatrices:
+    """exponent_rows reads the cover matrix off the lattice, one row per element, top down."""
+
     def test_complete_bipartite(self):
-        covers, _ = _pipeline(K22)
-        full, trunc = build_matrices(covers, K22)
-        assert full.rows == ((1, 1, 0, 0), (0, 0, 1, 1))
-        assert trunc.rows == ((1, 1), (0, 0))
+        covers, lat = _pipeline(K22)
+        assert exponent_rows(lat) == ((1, 1, 0, 0), (0, 0, 1, 1))
+        assert sorted(exponent_rows(lat)) == sorted(cover_rows(covers, 2))
 
     def test_matching_row_order(self):
-        covers, _ = _pipeline(MATCH2)
-        full, trunc = build_matrices(covers, MATCH2)
-        assert full.rows == (
+        covers, lat = _pipeline(MATCH2)
+        assert exponent_rows(lat) == (
             (1, 1, 0, 0),
-            (1, 0, 0, 1),
             (0, 1, 1, 0),
+            (1, 0, 0, 1),
             (0, 0, 1, 1),
         )
-        assert trunc.rows == ((1, 1), (1, 0), (0, 1), (0, 0))
+        assert sorted(exponent_rows(lat)) == sorted(cover_rows(covers, 2))
 
     def test_single_edge(self):
-        covers, _ = _pipeline(EDGE1)
-        full, _ = build_matrices(covers, EDGE1)
-        assert full.rows == ((1, 0), (0, 1))
+        _, lat = _pipeline(EDGE1)
+        assert exponent_rows(lat) == ((1, 0), (0, 1))
 
     def test_first_and_last_rows_are_the_boundary_covers(self):
         rng = random.Random(11)
         for _ in range(25):
-            lg = graph_from_lattice(
-                random_sublattice(rng.randint(1, 5), rng.randint(0, 8), rng.getrandbits(32))
-            )
-            covers, _ = _pipeline(lg)
-            full, _ = build_matrices(covers, lg)
-            n = lg.n
-            assert full.rows[0][:n] == (1,) * n
-            assert full.rows[-1][:n] == (0,) * n
+            lat = random_sublattice(rng.randint(1, 5), rng.randint(0, 8), rng.getrandbits(32))
+            rows, n = exponent_rows(lat), lat.n
+            assert rows[0] == (1,) * n + (0,) * n
+            assert rows[-1] == (0,) * n + (1,) * n
 
     def test_column_identity(self):
-        """Each y column is the all-ones column minus the matching x column."""
+        """The rows are the enumerated covers' rows; each y column is 1 minus its x column."""
         rng = random.Random(12)
         for _ in range(25):
             lg = graph_from_lattice(
                 random_sublattice(rng.randint(1, 5), rng.randint(0, 8), rng.getrandbits(32))
             )
-            covers, _ = _pipeline(lg)
-            full, _ = build_matrices(covers, lg)
-            n = lg.n
+            covers, lat = _pipeline(lg)
+            rows, n = exponent_rows(lat), lg.n
+            assert sorted(rows) == sorted(cover_rows(covers, n))
             for j in range(n):
-                for row in full.rows:
+                for row in rows:
                     assert row[n + j] == 1 - row[j]
 
 
@@ -128,10 +101,10 @@ class TestRankExact:
             assert rank_exact(eye) == n
 
     def test_matching_matrix_rank(self):
-        covers, _ = _pipeline(MATCH2)
-        full, _ = build_matrices(covers, MATCH2)
-        assert rank_exact(full.rows) == 3
-        assert rank_by_minors(full.rows) == 3
+        _, lat = _pipeline(MATCH2)
+        rows = exponent_rows(lat)
+        assert rank_exact(rows) == 3
+        assert rank_by_minors(rows) == 3
 
     def test_zero_matrix(self):
         assert rank_exact([[0, 0], [0, 0]]) == 0
@@ -209,11 +182,22 @@ class TestRankMod:
         m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         assert rank_mod(m, p) == rank_by_minors(m, p)
 
+    def test_cover_matrix_rank_is_the_same_in_every_characteristic(self):
+        checked = 0
+        for n in (1, 2, 3, 4):
+            for lat in enumerate_sublattices(n):
+                rank_full = dimension_report(graph_from_lattice(lat), lat).rank_full
+                rows = exponent_rows(lat)
+                for p in (2, 3, 5, 7):
+                    assert rank_mod(rows, p) == rank_full
+                checked += 1
+        assert checked == 1 + 4 + 29 + 355
+
 
 class TestDimensionReport:
     def test_complete_bipartite(self):
-        covers, lat = _pipeline(K22)
-        rep = dimension_report(K22, covers, lat)
+        _, lat = _pipeline(K22)
+        rep = dimension_report(K22, lat)
         assert (
             rep.cover_count,
             rep.rank_full,
@@ -224,32 +208,35 @@ class TestDimensionReport:
         assert rep.dim_matches_lattice_rank and not rep.cohen_macaulay
 
     def test_matching(self):
-        covers, lat = _pipeline(MATCH2)
-        rep = dimension_report(MATCH2, covers, lat)
+        _, lat = _pipeline(MATCH2)
+        rep = dimension_report(MATCH2, lat)
         assert (rep.cover_count, rep.rank_full, rep.rank_truncated) == (4, 3, 2)
         assert (rep.lattice_rank, rep.dimension) == (2, 3)
         assert rep.cohen_macaulay
 
     def test_single_edge(self):
-        covers, lat = _pipeline(EDGE1)
-        rep = dimension_report(EDGE1, covers, lat)
+        _, lat = _pipeline(EDGE1)
+        rep = dimension_report(EDGE1, lat)
         assert (rep.cover_count, rep.dimension) == (2, 2)
         assert rep.cohen_macaulay  # n=1, dimension = n+1 = 2
 
-    def test_inconsistency_alarm_carries_instance(self):
-        covers, _ = _pipeline(MATCH2)
-        wrong_lat = lattice_from_covers(
-            [frozenset(), frozenset({1, 2})], 2
-        )  # lattice of a different graph
+    def test_inconsistency_alarm_carries_instance(self, monkeypatch):
+        from coverlattice import algebra
+
+        _, lat = _pipeline(MATCH2)
+        monkeypatch.setattr(algebra, "rank", lambda lat: 1)  # the true rank is 2
         with pytest.raises(InconsistencyError) as info:
-            dimension_report(MATCH2, covers, wrong_lat)
+            dimension_report(MATCH2, lat)
         assert "lattice_rank" in str(info.value)
-        assert info.value.details["n"] == 2
-        assert info.value.details["covers"]
+        details = info.value.details
+        assert details["n"] == 2 and details["edges"] == [(1, 1), (2, 2)]
+        assert details["lattice"] == [[], [1], [2], [1, 2]]
+        ranks = (details["rank_full"], details["rank_truncated"], details["lattice_rank"])
+        assert ranks == (3, 2, 1)
 
     def test_format_report(self):
-        covers, lat = _pipeline(K22)
-        text = format_report(dimension_report(K22, covers, lat))
+        _, lat = _pipeline(K22)
+        text = format_report(dimension_report(K22, lat))
         assert "dimension=2" in text
         assert "lattice_rank=1" in text
         assert "cohen_macaulay=no" in text
@@ -260,24 +247,21 @@ class TestGrowth:
 
     def test_linear_counts_for_complete_bipartite(self):
         covers, lat = _pipeline(K22)
-        full, _ = build_matrices(covers, K22)
         expected = [t + 1 for t in range(1, 9)]
         assert multichain_counts(lat, 8) == expected
-        assert hilbert_function(full.rows, 8) == expected
+        assert hilbert_function(cover_rows(covers, lat.n), 8) == expected
 
     def test_quadratic_counts_for_matching(self):
         covers, lat = _pipeline(MATCH2)
-        full, _ = build_matrices(covers, MATCH2)
         expected = [(t + 1) ** 2 for t in range(1, 9)]
         assert multichain_counts(lat, 8) == expected
-        assert hilbert_function(full.rows, 8) == expected
+        assert hilbert_function(cover_rows(covers, lat.n), 8) == expected
 
     def test_single_edge(self):
         covers, lat = _pipeline(EDGE1)
-        full, _ = build_matrices(covers, EDGE1)
         expected = [t + 1 for t in range(1, 7)]
         assert multichain_counts(lat, 6) == expected
-        assert hilbert_function(full.rows, 6) == expected
+        assert hilbert_function(cover_rows(covers, lat.n), 6) == expected
 
     def test_rank_plus_two_levels_fix_the_degree(self):
         # M(t) = (t+1)^2 on the Boolean square: forward differences at t=1 are
@@ -300,12 +284,11 @@ class TestGrowth:
             ),
         )
         big = graph_from_lattice(boolean4)
-        covers = enumerate_minimal_covers(as_graph(big))
-        full, _ = build_matrices(covers, big)
-        assert len(full.rows) == 16  # beyond the old 12-row packing guard
+        rows = cover_rows(enumerate_minimal_covers(as_graph(big)), 4)
+        assert len(rows) == 16  # beyond the old 12-row packing guard
         expected = [(t + 1) ** 4 for t in range(1, 14)]
         assert multichain_counts(boolean4, 13) == expected  # beyond degree 12
-        assert hilbert_function(full.rows, 6) == expected[:6]
+        assert hilbert_function(rows, 6) == expected[:6]
 
     @given(st.integers(1, 5), st.integers(0, 12), st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=200)
@@ -314,5 +297,4 @@ class TestGrowth:
         lat = random_sublattice(n, generators, seed)
         lg = graph_from_lattice(lat)
         covers = enumerate_minimal_covers(as_graph(lg))
-        full, _ = build_matrices(covers, lg)
-        assert multichain_counts(lat, 4) == hilbert_function(full.rows, 4)
+        assert multichain_counts(lat, 4) == hilbert_function(cover_rows(covers, lg.n), 4)

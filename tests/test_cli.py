@@ -123,6 +123,18 @@ class TestDim:
         assert payload["cohen_macaulay"] is True
         assert "rank_full_mod2" in payload
 
+    def test_characteristic_p_rank_differing_exits_1(self, write, capsys, monkeypatch):
+        from coverlattice import cli as cli_module
+
+        rank_mod = cli_module.rank_mod
+        monkeypatch.setattr(cli_module, "rank_mod", lambda rows, p: rank_mod(rows, p) - 1)
+        assert main(["dim", write("g.txt", "1 2\n3 4\n")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "INCONSISTENCY: characteristic-p ranks 2 (p=2) and 2 (p=3)" in captured.err
+        assert "rank_full=3" in captured.err
+        assert '"rank_full_mod2": 2' in captured.err
+
 
 class TestLattice:
     def test_emits_lattice_file(self, write, capsys):
@@ -229,6 +241,16 @@ class TestVerify:
     def test_size_limit(self, capsys):
         assert main(["verify", "--random", "1", "1", "--size", "9"]) == 2
 
+    def test_negative_count_rejected(self, capsys):
+        assert main(["verify", "--random", "-5", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: random verification needs COUNT >= 0, got -5\n"
+
+    def test_zero_count_is_an_empty_sweep(self, capsys):
+        assert main(["verify", "--random", "0", "1"]) == 0
+        assert capsys.readouterr().out == "instances=0 failures=0 growth_checked=0\n"
+
     def test_exhaustive_limit(self, capsys):
         assert main(["verify", "--n", "5"]) == 2
 
@@ -245,6 +267,26 @@ class TestExitCodes:
         assert main(["dim", write("g.txt", FOUR_CYCLE_TEXT)]) == 1
         err = capsys.readouterr().err
         assert "INCONSISTENCY" in err
+
+    def test_verify_violation_keeps_the_records_before_it(self, capsys, monkeypatch):
+        from coverlattice import InconsistencyError
+        from coverlattice import cli as cli_module
+
+        verify_lattice = cli_module.verify_lattice
+        calls = []
+
+        def fail_third(lat):
+            calls.append(lat)
+            if len(calls) == 3:
+                raise InconsistencyError("forced on the third instance", details={"n": lat.n})
+            return verify_lattice(lat)
+
+        monkeypatch.setattr(cli_module, "verify_lattice", fail_third)
+        assert main(["verify", "--n", "2", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["elements"] for r in records] == [[[], [1, 2]], [[], [1], [1, 2]]]
+        assert captured.err == 'INCONSISTENCY: forced on the third instance\n{\n  "n": 2\n}\n'
 
     def test_no_growth_flag(self, capsys):
         # the growth check has no switches: every instance gets the exact identity

@@ -261,7 +261,7 @@ class TestUnmixedLabeledInvariants:
             lg, _ = relabel(g, part, covers, matching=pairing)
             lcov = enumerate_minimal_covers(as_graph(lg))
             lat = lattice_from_covers(x_parts(lg, lcov), lg.n)
-            rep = dimension_report(lg, lcov, lat)
+            rep = dimension_report(lg, lat)
             outcomes.add(
                 (rep.rank_full, rep.rank_truncated, rep.lattice_rank, rep.dimension)
             )

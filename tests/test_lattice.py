@@ -18,7 +18,12 @@ from coverlattice import (
     rank,
 )
 
-from oracles import brute_force_closure, brute_force_hasse, longest_chain_cardinality
+from oracles import (
+    brute_force_closure,
+    brute_force_hasse,
+    longest_chain_cardinality,
+    preorder_by_intersection,
+)
 
 EMPTY = frozenset()
 
@@ -41,6 +46,20 @@ class TestConstruction:
         with pytest.raises(LatticeError) as info:
             lat(2, {1}, {1, 2})
         assert info.value.certificate.kind == "missing-bottom"
+
+    def test_preorder_matches_intersection_oracle(self):
+        def as_masks(sets):
+            return tuple(sum(1 << (i - 1) for i in s) for s in sets)
+
+        built = [b for n in (1, 2, 3, 4) for b in enumerate_sublattices(n)]
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(5, 8)
+            built.append(random_sublattice(n, rng.randint(0, 18), rng.getrandbits(32)))
+        for b in built:
+            assert b.pred == as_masks(preorder_by_intersection(b.elements, b.n))
+            assert b.masks == as_masks(b.elements)
+        assert len(built) == 389 + 40
 
     def test_lattice_from_covers(self):
         built = lattice_from_covers([EMPTY, frozenset({1, 2})], 2)
@@ -67,6 +86,13 @@ class TestIsSublattice:
     def test_out_of_range_element(self):
         with pytest.raises(LatticeError, match="subset"):
             is_sublattice([EMPTY, {3}, {1, 2}], 2)
+
+    def test_empty_ground_set(self):
+        assert is_sublattice([EMPTY], 0) == (True, None)
+        ok, cert = is_sublattice([], 0)
+        assert not ok and cert.kind == "missing-bottom"
+        with pytest.raises(LatticeError, match=r"element \[1\] is not a subset of 1..0"):
+            is_sublattice([EMPTY, {1}], 0)
 
 
 class TestHasseAndRank:
