@@ -51,7 +51,6 @@ from .lattice import (
 from .algebra import (
     DimensionReport,
     dimension_report,
-    exponent_rows,
     format_report,
     monomial_string,
     multichain_counts,
@@ -84,7 +83,6 @@ __all__ = [
     "dimension_report",
     "enumerate_minimal_covers",
     "enumerate_sublattices",
-    "exponent_rows",
     "format_covers",
     "format_lattice",
     "format_report",

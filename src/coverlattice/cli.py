@@ -13,7 +13,7 @@ import random
 import sys
 from pathlib import Path
 
-from .algebra import exponent_rows, format_report, rank_mod
+from .algebra import format_report
 from .covers import DEFAULT_MAX_VERTICES, enumerate_minimal_covers, format_covers
 from .exceptions import CoverError, GraphError, InconsistencyError, LatticeError
 from .graphs import Graph, as_graph, parse_graph, parse_labeled, serialize_labeled
@@ -140,33 +140,10 @@ def cmd_dim(args: argparse.Namespace) -> int:
     assert analysis.report is not None and analysis.lattice is not None
     report = analysis.report
     _export_dot(analysis.lattice, args.dot)
-    # rank_p(M) = rank_full for every prime p: adding each x column to its y
-    # column (determinant 1) makes the rows (chi_A, 1), and the chi_A span the
-    # indicators of the preorder's classes, which have disjoint supports
-    rows = exponent_rows(analysis.lattice)
-    mod2 = rank_mod(rows, 2)
-    mod3 = rank_mod(rows, 3)
-    if mod2 != report.rank_full or mod3 != report.rank_full:
-        raise InconsistencyError(
-            f"characteristic-p ranks {mod2} (p=2) and {mod3} (p=3) "
-            f"differ from rank_full={report.rank_full}",
-            details={
-                "n": report.n,
-                "lattice": [sorted(e) for e in analysis.lattice.elements],
-                "rank_full": report.rank_full,
-                "rank_full_mod2": mod2,
-                "rank_full_mod3": mod3,
-            },
-        )
     if args.format == "json":
-        payload = report.as_dict()
-        payload["rank_full_mod2"] = mod2
-        payload["rank_full_mod3"] = mod3
-        print(json.dumps(payload))
+        print(json.dumps(report.as_dict()))
     else:
         sys.stdout.write(format_report(report))
-        print(f"rank_full_mod2={mod2}")
-        print(f"rank_full_mod3={mod3}")
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coverlattice import (
     InconsistencyError,
@@ -10,7 +10,6 @@ from coverlattice import (
     dimension_report,
     enumerate_minimal_covers,
     enumerate_sublattices,
-    exponent_rows,
     format_report,
     graph_from_lattice,
     lattice_from_covers,
@@ -21,6 +20,8 @@ from coverlattice import (
     rank_mod,
     x_parts,
 )
+
+from coverlattice.algebra import _add3, _cover_columns, _rank_bits
 
 from oracles import cover_rows, hilbert_function, rank_by_minors
 
@@ -46,35 +47,37 @@ class TestMonomialString:
             monomial_string((2, 0))
 
 
+def _rows(lat):
+    """The cover matrix rows spelled out from the report's columns, bit r as row r."""
+    columns = _cover_columns(lat)
+    return [tuple(c >> r & 1 for c in columns) for r in range(len(lat.masks))]
+
+
 class TestBuildMatrices:
-    """exponent_rows reads the cover matrix off the lattice, one row per element, top down."""
+    """_cover_columns reads the cover matrix off the lattice, bit r for element r."""
 
     def test_complete_bipartite(self):
         covers, lat = _pipeline(K22)
-        assert exponent_rows(lat) == ((1, 1, 0, 0), (0, 0, 1, 1))
-        assert sorted(exponent_rows(lat)) == sorted(cover_rows(covers, 2))
+        assert _cover_columns(lat) == [0b10, 0b10, 0b01, 0b01]
+        assert sorted(_rows(lat)) == sorted(cover_rows(covers, 2))
 
     def test_matching_row_order(self):
         covers, lat = _pipeline(MATCH2)
-        assert exponent_rows(lat) == (
-            (1, 1, 0, 0),
-            (0, 1, 1, 0),
-            (1, 0, 0, 1),
-            (0, 0, 1, 1),
-        )
-        assert sorted(exponent_rows(lat)) == sorted(cover_rows(covers, 2))
+        assert _cover_columns(lat) == [0b1010, 0b1100, 0b0101, 0b0011]
+        assert _rows(lat) == [(0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)]
+        assert sorted(_rows(lat)) == sorted(cover_rows(covers, 2))
 
     def test_single_edge(self):
         _, lat = _pipeline(EDGE1)
-        assert exponent_rows(lat) == ((1, 0), (0, 1))
+        assert _cover_columns(lat) == [0b10, 0b01]
 
     def test_first_and_last_rows_are_the_boundary_covers(self):
         rng = random.Random(11)
         for _ in range(25):
             lat = random_sublattice(rng.randint(1, 5), rng.randint(0, 8), rng.getrandbits(32))
-            rows, n = exponent_rows(lat), lat.n
-            assert rows[0] == (1,) * n + (0,) * n
-            assert rows[-1] == (0,) * n + (1,) * n
+            rows, n = _rows(lat), lat.n
+            assert rows[0] == (0,) * n + (1,) * n
+            assert rows[-1] == (1,) * n + (0,) * n
 
     def test_column_identity(self):
         """The rows are the enumerated covers' rows; each y column is 1 minus its x column."""
@@ -84,7 +87,7 @@ class TestBuildMatrices:
                 random_sublattice(rng.randint(1, 5), rng.randint(0, 8), rng.getrandbits(32))
             )
             covers, lat = _pipeline(lg)
-            rows, n = exponent_rows(lat), lg.n
+            rows, n = _rows(lat), lg.n
             assert sorted(rows) == sorted(cover_rows(covers, n))
             for j in range(n):
                 for row in rows:
@@ -101,8 +104,8 @@ class TestRankExact:
             assert rank_exact(eye) == n
 
     def test_matching_matrix_rank(self):
-        _, lat = _pipeline(MATCH2)
-        rows = exponent_rows(lat)
+        covers, _ = _pipeline(MATCH2)
+        rows = cover_rows(covers, 2)
         assert rank_exact(rows) == 3
         assert rank_by_minors(rows) == 3
 
@@ -186,12 +189,40 @@ class TestRankMod:
         checked = 0
         for n in (1, 2, 3, 4):
             for lat in enumerate_sublattices(n):
-                rank_full = dimension_report(graph_from_lattice(lat), lat).rank_full
-                rows = exponent_rows(lat)
+                lg = graph_from_lattice(lat)
+                report = dimension_report(lg, lat)
+                assert report.rank_full_mod2 == report.rank_full_mod3 == report.rank_full
+                rows = cover_rows(enumerate_minimal_covers(as_graph(lg)), n)
                 for p in (2, 3, 5, 7):
-                    assert rank_mod(rows, p) == rank_full
+                    assert rank_mod(rows, p) == report.rank_full
                 checked += 1
         assert checked == 1 + 4 + 29 + 355
+
+
+class TestRankBits:
+    """The bit-packed GF(2)/GF(3) elimination the dimension report runs on its columns."""
+
+    def test_add3_truth_table(self):
+        # lane 3a + b holds a in the first vector and b in the second
+        def pack(values):
+            ones = sum(1 << k for k, v in enumerate(values) if v == 1)
+            twos = sum(1 << k for k, v in enumerate(values) if v == 2)
+            return ones, twos
+
+        pairs = [(a, b) for a in range(3) for b in range(3)]
+        total = _add3(*pack([a for a, _ in pairs]), *pack([b for _, b in pairs]))
+        assert total == pack([(a + b) % 3 for a, b in pairs])
+
+    # the example subtracts the pivot at bit 2 (1 - 1), leaving a 2 at bit 1
+    # that adds the pivot there (2 + 1); the second stores a pivot holding 2
+    # at its top, which must be scaled to 1 before the third column meets it
+    @given(st.lists(st.integers(0, 2**6 - 1), min_size=1, max_size=6), st.sampled_from([2, 3]))
+    @example([0b110, 0b010, 0b100], 3)
+    @example([0b110, 0b100, 0b011], 3)
+    @settings(deadline=None)
+    def test_matches_rank_mod_and_minors(self, columns, p):
+        rows = [[c >> r & 1 for c in columns] for r in range(6)]
+        assert _rank_bits(columns, p) == rank_mod(rows, p) == rank_by_minors(rows, p)
 
 
 class TestDimensionReport:

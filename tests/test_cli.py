@@ -124,10 +124,10 @@ class TestDim:
         assert "rank_full_mod2" in payload
 
     def test_characteristic_p_rank_differing_exits_1(self, write, capsys, monkeypatch):
-        from coverlattice import cli as cli_module
+        from coverlattice import algebra
 
-        rank_mod = cli_module.rank_mod
-        monkeypatch.setattr(cli_module, "rank_mod", lambda rows, p: rank_mod(rows, p) - 1)
+        rank_bits = algebra._rank_bits
+        monkeypatch.setattr(algebra, "_rank_bits", lambda cols, p: rank_bits(cols, p) - 1)
         assert main(["dim", write("g.txt", "1 2\n3 4\n")]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -253,6 +253,20 @@ class TestVerify:
 
     def test_exhaustive_limit(self, capsys):
         assert main(["verify", "--n", "5"]) == 2
+
+    def test_characteristic_p_rank_differing_exits_1(self, capsys, monkeypatch):
+        from coverlattice import algebra
+
+        rank_bits = algebra._rank_bits
+        monkeypatch.setattr(algebra, "_rank_bits", lambda cols, p: rank_bits(cols, p) - 1)
+        assert main(["verify", "--n", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "INCONSISTENCY: characteristic-p ranks 1 (p=2) and 1 (p=3) "
+            "differ from rank_full=2\n"
+        )
+        assert '"rank_full_mod3": 1' in captured.err
 
 
 class TestExitCodes:
