@@ -8,6 +8,7 @@ violated (never expected on valid input), 2 input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -291,8 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built once per process, reused by every main call
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphError, CoverError, LatticeError) as exc:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .exceptions import CoverError
 from .graphs import Bipartition, Graph, LabeledBipartiteGraph
+from .lattice import _bits, _element_key, _mask_to_set, _to_mask
 
 __all__ = [
     "DEFAULT_MAX_VERTICES",
@@ -29,17 +30,6 @@ __all__ = [
 DEFAULT_MAX_VERTICES = 24
 
 Cover = frozenset[int]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _cover_key(c: Cover) -> tuple[int, tuple[int, ...]]:
-    return (len(c), tuple(sorted(c)))
 
 
 def enumerate_minimal_covers(
@@ -79,11 +69,7 @@ def enumerate_minimal_covers(
             excluded |= bit
 
     expand(0, full, 0)
-    covers = [
-        frozenset(i + 1 for i in _bits(full ^ ind_set)) for ind_set in independent
-    ]
-    covers.sort(key=_cover_key)
-    return tuple(covers)
+    return tuple(sorted((_mask_to_set(full ^ s) for s in independent), key=_element_key))
 
 
 def is_unmixed(covers: Sequence[Cover]) -> bool:
@@ -150,7 +136,7 @@ class Relabeling:
         exactly the minimal covers of the labeled one.
         """
         label = {v: i for i, v in enumerate(self.x_source + self.y_source, start=1)}
-        return tuple(sorted((frozenset(label[v] for v in c) for c in covers), key=_cover_key))
+        return tuple(sorted((frozenset(label[v] for v in c) for c in covers), key=_element_key))
 
 
 def _validate_matching(g: Graph, part: Bipartition, matching: Mapping[int, int]) -> None:
@@ -210,6 +196,29 @@ def relabel(
     return labeled, relabeling
 
 
+def _x_masks(n: int, covers: Sequence[Cover]) -> list[int]:
+    """x_parts as masks, with its checks: bit i - 1 stands for x_i."""
+    full = (1 << n) - 1
+    parts = []
+    for cover in covers:
+        if len(cover) != n:
+            raise CoverError(
+                f"cover {sorted(cover)} has size {len(cover)}, expected {n}: "
+                "graph is not unmixed-labeled"
+            )
+        mask = _to_mask(cover)
+        x, y = mask & full, mask >> n
+        if x ^ y != full:
+            bad = full & ~(x ^ y)
+            i = (bad & -bad).bit_length()
+            state = "both present" if x >> (i - 1) & 1 else "both absent"
+            raise CoverError(
+                f"complementarity violated at pair {i} in cover {sorted(cover)} ({state})"
+            )
+        parts.append(x)
+    return parts
+
+
 def x_parts(
     lg: LabeledBipartiteGraph, covers: Sequence[Cover]
 ) -> tuple[frozenset[int], ...]:
@@ -219,27 +228,7 @@ def x_parts(
     y_j is vertex n+j). Each cover must pick exactly one of x_i, y_i per
     pair; a violation means lg was not an unmixed labeling and is an error.
     """
-    n = lg.n
-    parts: list[frozenset[int]] = []
-    for cover in covers:
-        if len(cover) != n:
-            raise CoverError(
-                f"cover {sorted(cover)} has size {len(cover)}, expected {n}: "
-                "graph is not unmixed-labeled"
-            )
-        xp: set[int] = set()
-        for i in range(1, n + 1):
-            has_x = i in cover
-            has_y = (n + i) in cover
-            if has_x == has_y:
-                state = "both present" if has_x else "both absent"
-                raise CoverError(
-                    f"complementarity violated at pair {i} in cover {sorted(cover)} ({state})"
-                )
-            if has_x:
-                xp.add(i)
-        parts.append(frozenset(xp))
-    return tuple(parts)
+    return tuple(map(_mask_to_set, _x_masks(lg.n, covers)))
 
 
 def hall_condition_holds(lg: LabeledBipartiteGraph) -> bool:
@@ -250,14 +239,9 @@ def hall_condition_holds(lg: LabeledBipartiteGraph) -> bool:
         nbr[i] |= 1 << (j - 1)
     for mask in range(1, 1 << n):
         neighbors = 0
-        size = 0
-        m = mask
-        while m:
-            low = m & -m
-            neighbors |= nbr[low.bit_length()]
-            size += 1
-            m ^= low
-        if neighbors.bit_count() < size:
+        for i in _bits(mask):
+            neighbors |= nbr[i + 1]
+        if neighbors.bit_count() < mask.bit_count():
             return False
     return True
 

@@ -1,16 +1,15 @@
-"""Bounded sublattices of the subset lattice of {1..n}.
+"""Bounded sublattices of the subset lattice of {1..n}, and the package's bitmask format.
 
-The elements come from cover x-parts. By Birkhoff's theorem a bounded
-sublattice is the family of down-sets of one preorder on {1..n}: pred[j],
-the intersection of the members that contain j, holds the elements at or
-below j. CoverLattice computes its element bitmasks and that preorder once,
-when it validates the family, and keeps both: it accepts a family only if
-it equals the down-sets of its own preorder, so holding one is proof that
-it contains the empty and the full set and is closed under union and
-intersection. The rank is the number of distinct pred[j], and the inverse
-construction reads off the preorder the unique diagonal-labeled bipartite
-graph whose cover projections reproduce the family. Hasse diagrams serve
-DOT export only.
+A set of points or vertices is held as an int mask, bit i - 1 for member
+i; _bits, _to_mask, _mask_to_set and the canonical set order _element_key
+(size, then sorted members) are defined here once. By Birkhoff's theorem a
+bounded sublattice is the family of down-sets of one preorder on {1..n}:
+pred[j], the intersection of the members that contain j, holds the
+elements at or below j. CoverLattice accepts a family only if it equals
+the down-sets of its own preorder, and keeps the element masks and pred;
+producers that hold masks build it with CoverLattice._from_masks. The rank
+is the number of distinct pred[j], and the inverse construction reads the
+unique diagonal-labeled bipartite graph of the family off the preorder.
 """
 
 from __future__ import annotations
@@ -37,6 +36,29 @@ __all__ = [
     "parse_lattice",
     "hasse_to_dot",
 ]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _to_mask(e: Iterable[int]) -> int:
+    mask = 0
+    for i in e:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def _mask_to_set(mask: int) -> frozenset[int]:
+    out = []  # frozenset(a set) takes 64 slots at 16-18 members; from a list, 32
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return frozenset(out)
 
 
 def _element_key(e: frozenset[int]) -> tuple[int, tuple[int, ...]]:
@@ -70,19 +92,6 @@ class ClosureCertificate:
         )
 
 
-def _to_mask(e: Iterable[int]) -> int:
-    return sum(1 << (i - 1) for i in e)
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length())
-        mask ^= low
-    return frozenset(out)
-
-
 def _preorder(masks: Collection[int], n: int) -> list[int]:
     """pred[j]: the intersection of the members that contain element j + 1."""
     pred = []
@@ -109,29 +118,22 @@ def _downsets(pred: list[int], limit: int) -> set[int] | None:
     return found
 
 
-def _is_downset_family(masks: set[int], n: int) -> bool:
-    """A family is a bounded sublattice iff it is the down-sets of its own preorder.
-
-    That covers both bounds: the down-sets hold the empty and the full set.
-    """
-    return _downsets(_preorder(masks, n), len(masks)) == masks
-
-
-def _validate(
-    elems: Collection[frozenset[int]], n: int
-) -> tuple[list[int], list[int], ClosureCertificate | None]:
-    """The masks of distinct elems, their preorder, and what the family lacks.
-
-    The certificate is None exactly when the family is a bounded sublattice.
-    """
-    for e in elems:
-        if not all(1 <= i <= n for i in e):
-            raise LatticeError(f"element {sorted(e)} is not a subset of 1..{n}")
-    masks = [_to_mask(e) for e in elems]
+def _lattice_preorder(masks: set[int], n: int) -> list[int] | None:
+    """The preorder of distinct masks, or None unless they are its down-sets."""
+    if 0 not in masks or (1 << n) - 1 not in masks:  # down-sets hold both; test before n x n bits
+        return None
     pred = _preorder(masks, n)
-    if _downsets(pred, len(masks)) == set(masks):
-        return masks, pred, None
-    return masks, pred, _certificate(set(elems), n)
+    return pred if _downsets(pred, len(masks)) == masks else None
+
+
+def _element_masks(elements: Iterable[Iterable[int]], n: int) -> dict[frozenset[int], int]:
+    """Each distinct element with its mask; LatticeError if one is not a subset of 1..n."""
+    distinct = set(map(frozenset, elements))
+    outside = [e for e in distinct if e and (min(e) < 1 or max(e) > n)]
+    if outside:
+        e = min(outside, key=_element_key)
+        raise LatticeError(f"element {sorted(e)} is not a subset of 1..{n}")
+    return {e: _to_mask(e) for e in distinct}
 
 
 def is_sublattice(
@@ -142,8 +144,9 @@ def is_sublattice(
     Returns (True, None) or (False, certificate) where the certificate names
     the missing boundary element or a violating pair.
     """
-    _, _, cert = _validate({frozenset(e) for e in family}, n)
-    return cert is None, cert
+    mask_of = _element_masks(family, n)
+    ok = _lattice_preorder(set(mask_of.values()), n) is not None
+    return ok, None if ok else _certificate(set(mask_of), n)
 
 
 def _certificate(elems: set[frozenset[int]], n: int) -> ClosureCertificate:
@@ -186,12 +189,26 @@ class CoverLattice:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise LatticeError("need n >= 1")
-        canonical = tuple(sorted({frozenset(e) for e in self.elements}, key=_element_key))
-        masks, pred, cert = _validate(canonical, self.n)
-        if cert is not None:
+        self._hold(_element_masks(self.elements, self.n))
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: Iterable[int]) -> CoverLattice:
+        """The lattice of masks, validated as the constructor does; sets are made once."""
+        if n < 1:
+            raise LatticeError("need n >= 1")
+        lat = object.__new__(cls)
+        object.__setattr__(lat, "n", n)
+        lat._hold({_mask_to_set(m): m for m in masks})
+        return lat
+
+    def _hold(self, mask_of: dict[frozenset[int], int]) -> None:
+        pred = _lattice_preorder(set(mask_of.values()), self.n)
+        if pred is None:
+            cert = _certificate(set(mask_of), self.n)
             raise LatticeError(f"not a bounded sublattice: {cert}", certificate=cert)
-        object.__setattr__(self, "elements", canonical)
-        object.__setattr__(self, "masks", tuple(masks))
+        elements = tuple(sorted(mask_of, key=_element_key))
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "masks", tuple(map(mask_of.__getitem__, elements)))
         object.__setattr__(self, "pred", tuple(pred))
 
 
@@ -201,7 +218,7 @@ def lattice_from_covers(parts: Iterable[frozenset[int]], n: int) -> CoverLattice
     For x-parts of a genuine unmixed labeled graph the closure requirements
     cannot fail; a LatticeError here therefore signals an upstream bug.
     """
-    return CoverLattice(n, tuple(frozenset(p) for p in parts))
+    return CoverLattice(n, tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -220,16 +237,12 @@ def hasse(lat: CoverLattice) -> HasseDiagram:
     elements covering A are therefore the minimal sets among those unions,
     which makes the diagram O(|L| * n^2) rather than cubic in |L|.
     """
-    element_of = dict(zip(lat.masks, lat.elements))
+    index = {m: k for k, m in enumerate(lat.masks)}
     edges = []
     for a, am in zip(lat.elements, lat.masks):
         above = {am | p for j, p in enumerate(lat.pred) if not am >> j & 1}
-        edges.extend(
-            (a, element_of[b])
-            for b in above
-            if not any(c != b and c & b == c for c in above)
-        )
-    edges.sort(key=lambda ab: (_element_key(ab[0]), _element_key(ab[1])))
+        tops = sorted(index[b] for b in above if not any(c != b and c & b == c for c in above))
+        edges.extend((a, lat.elements[k]) for k in tops)  # canonical order throughout
     return HasseDiagram(lat.elements, tuple(edges))
 
 
@@ -253,7 +266,7 @@ def graph_from_lattice(lat: CoverLattice) -> LabeledBipartiteGraph:
     correct for its instance.
     """
     n = lat.n
-    edges = frozenset((i, j + 1) for j, p in enumerate(lat.pred) for i in _mask_to_set(p))
+    edges = frozenset((i + 1, j + 1) for j, p in enumerate(lat.pred) for i in _bits(p))
     lg = LabeledBipartiteGraph(n, edges)
     back = [0] * n
     for i, j in lg.edges:
@@ -283,8 +296,8 @@ def enumerate_sublattices(n: int) -> Iterator[CoverLattice]:
     middle = list(range(1, full))
     for combo in range(1 << len(middle)):
         family = {0, full, *(m for t, m in enumerate(middle) if combo >> t & 1)}
-        if _is_downset_family(family, n):
-            yield CoverLattice(n, tuple(_mask_to_set(s) for s in sorted(family)))
+        if _lattice_preorder(family, n) is not None:
+            yield CoverLattice._from_masks(n, family)
 
 
 def random_sublattice(n: int, generator_count: int, seed: int) -> CoverLattice:
@@ -301,8 +314,7 @@ def random_sublattice(n: int, generator_count: int, seed: int) -> CoverLattice:
     rng = random.Random(seed)
     drawn = {0, (1 << n) - 1}
     drawn.update(rng.getrandbits(n) for _ in range(generator_count))
-    closed = _downsets(_preorder(drawn, n), 1 << n)
-    return CoverLattice(n, tuple(_mask_to_set(s) for s in sorted(closed)))
+    return CoverLattice._from_masks(n, _downsets(_preorder(drawn, n), 1 << n))
 
 
 def format_lattice(lat: CoverLattice) -> str:

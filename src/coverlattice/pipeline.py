@@ -9,14 +9,14 @@ from .covers import (
     DEFAULT_MAX_VERTICES,
     Cover,
     Relabeling,
+    _x_masks,
     enumerate_minimal_covers,
     is_unmixed,
     relabel,
-    x_parts,
 )
 from .exceptions import InconsistencyError
 from .graphs import Bipartition, Graph, LabeledBipartiteGraph, as_graph, bipartition
-from .lattice import CoverLattice, graph_from_lattice, lattice_from_covers
+from .lattice import CoverLattice, _element_key, _mask_to_set, graph_from_lattice
 
 __all__ = ["GraphAnalysis", "LatticeVerification", "analyze_graph", "verify_lattice"]
 
@@ -49,7 +49,7 @@ def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAn
         return GraphAnalysis(g, part, covers, unmixed)
     labeled, relabeling = relabel(g, part, covers)
     labeled_covers = relabeling.map_covers(covers)
-    lat = lattice_from_covers(x_parts(labeled, labeled_covers), labeled.n)
+    lat = CoverLattice._from_masks(labeled.n, _x_masks(labeled.n, labeled_covers))
     report = dimension_report(labeled, lat)
     return GraphAnalysis(
         g, part, covers, unmixed, labeled, relabeling, labeled_covers, lat, report
@@ -83,13 +83,13 @@ def verify_lattice(
     """
     lg = graph_from_lattice(lat)
     covers = enumerate_minimal_covers(as_graph(lg), max_vertices=max_vertices)
-    parts = set(x_parts(lg, covers))
-    if parts != set(lat.elements):
+    parts = set(_x_masks(lg.n, covers))
+    if parts != set(lat.masks):
         raise InconsistencyError(
             "cover projection does not reproduce the lattice",
             details={
                 "expected": [sorted(e) for e in lat.elements],
-                "actual": sorted((sorted(e) for e in parts), key=lambda e: (len(e), e)),
+                "actual": [sorted(e) for e in sorted(map(_mask_to_set, parts), key=_element_key)],
             },
         )
     report = dimension_report(lg, lat)

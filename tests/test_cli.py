@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -201,6 +203,29 @@ class TestFromLattice:
         assert done.returncode == 2
         assert "certificate: {1} | {2} = {1,2} is missing" in done.stderr
 
+    def test_huge_ground_set_without_top_fails_fast(self, write):
+        # the preorder of n = 10^6 would be 10^6 ints of 10^6 bits; the
+        # missing full set must be found before it is built
+        path = write("l.txt", "n=1000000\n{}\n")
+        memory = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(coverlattice.__file__).parents[1]))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "coverlattice.cli", "from-lattice", path],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=cap_memory,
+            env=env,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2
+        assert "certificate: the full set is missing" in done.stderr
+
 
 class TestVerify:
     def test_exhaustive_n2(self, capsys):
@@ -267,6 +292,47 @@ class TestVerify:
             "differ from rank_full=2\n"
         )
         assert '"rank_full_mod3": 1' in captured.err
+
+
+class TestParser:
+    def test_built_once(self):
+        from coverlattice import cli
+
+        main(["verify", "--n", "1"])
+        assert cli._parser() is cli._parser()
+
+    def test_commands_in_one_process_match_each_run_alone(self, write):
+        graph = write("g.txt", FOUR_CYCLE_TEXT)
+        commands = [
+            ["check", graph],
+            ["dim", "--format", "json", graph],
+            ["dim", "--no-such-flag", graph],
+            ["check", graph],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(coverlattice.__file__).parents[1]))
+        alone = [
+            subprocess.run(
+                [sys.executable, "-m", "coverlattice.cli", *argv],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                env=env,
+            )
+            for argv in commands
+        ]
+        for argv, done in zip(commands, alone):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert (code, out.getvalue(), err.getvalue()) == (
+                done.returncode,
+                done.stdout,
+                done.stderr,
+            ), argv
+        assert [done.returncode for done in alone] == [0, 0, 2, 0]
 
 
 class TestExitCodes:

@@ -218,6 +218,23 @@ class TestXParts:
         with pytest.raises(CoverError, match="size"):
             x_parts(lg, (frozenset({1}),))
 
+    def test_complementarity_message_names_the_first_bad_pair(self):
+        from coverlattice import LabeledBipartiteGraph
+
+        lg = LabeledBipartiteGraph(4, frozenset((i, i) for i in range(1, 5)))
+        cases = [
+            ({1, 2, 6, 8}, "pair 2 in cover [1, 2, 6, 8] (both present)"),
+            ({1, 3, 7, 8}, "pair 2 in cover [1, 3, 7, 8] (both absent)"),
+            ({1, 6, 3, 7}, "pair 3 in cover [1, 3, 6, 7] (both present)"),
+            ({5, 6, 7, 3}, "pair 3 in cover [3, 5, 6, 7] (both present)"),
+            ({5, 6, 7, 1}, "pair 1 in cover [1, 5, 6, 7] (both present)"),
+            ({1, 2, 4, 8}, "pair 3 in cover [1, 2, 4, 8] (both absent)"),
+        ]
+        for cover, message in cases:
+            with pytest.raises(CoverError) as info:
+                x_parts(lg, (frozenset({4, 5, 6, 7}), frozenset(cover)))
+            assert str(info.value) == f"complementarity violated at {message}"
+
 
 class TestUnmixedLabeledInvariants:
     """Structure shared by every unmixed labeled graph."""

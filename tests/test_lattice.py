@@ -60,6 +60,52 @@ class TestConstruction:
             assert b.pred == as_masks(preorder_by_intersection(b.elements, b.n))
             assert b.masks == as_masks(b.elements)
         assert len(built) == 389 + 40
+        # both generators build through the mask entry; the public
+        # constructor, and the mask entry fed in another order, agree with them
+        for b in built:
+            public = CoverLattice(b.n, tuple(set(e) for e in reversed(b.elements)))
+            shuffled = CoverLattice._from_masks(b.n, list(reversed(b.masks)) * 2)
+            for other in (public, shuffled):
+                assert (other.elements, other.masks, other.pred) == (b.elements, b.masks, b.pred)
+
+    @pytest.mark.parametrize(
+        "n, sets",
+        [
+            (2, [(), {1}, {2}]),
+            (3, [(), {1, 2}, {2, 3}, {1, 2, 3}]),
+            (2, [{1}, {1, 2}]),
+            (3, [(), {2}]),
+            (2, [(), {1}, {2}, {1, 2}, {2}, {1}]),
+        ],
+    )
+    def test_mask_entry_matches_the_constructor(self, n, sets):
+        masks = [sum(1 << (i - 1) for i in s) for s in sets]
+        try:
+            expected = CoverLattice(n, tuple(frozenset(s) for s in sets))
+        except LatticeError as exc:
+            with pytest.raises(LatticeError) as info:
+                CoverLattice._from_masks(n, masks)
+            assert str(info.value) == str(exc)
+            assert str(info.value.certificate) == str(exc.certificate)
+            assert info.value.certificate == exc.certificate
+        else:
+            built = CoverLattice._from_masks(n, masks)
+            assert (built.elements, built.masks, built.pred) == (
+                expected.elements,
+                expected.masks,
+                expected.pred,
+            )
+
+    def test_constructor_keeps_the_callers_frozensets(self):
+        sets = (frozenset(), frozenset({1}), frozenset({1, 2}))
+        built = CoverLattice(2, sets)
+        assert all(a is b for a, b in zip(built.elements, sets))
+
+    def test_range_error_names_the_first_element_in_canonical_order(self):
+        with pytest.raises(LatticeError, match=r"element \[3\] is not a subset of 1..2"):
+            lat(2, (), {1, 5}, {4}, {3}, {1, 2})
+        with pytest.raises(LatticeError, match="need n >= 1"):
+            lat(0, {1})
 
     def test_lattice_from_covers(self):
         built = lattice_from_covers([EMPTY, frozenset({1, 2})], 2)
