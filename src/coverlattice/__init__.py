@@ -1,11 +1,11 @@
 """Exact toolkit for minimal vertex covers of unmixed bipartite graphs.
 
 Enumerate the minimal covers of a graph, decide unmixedness, normalize an
-unmixed bipartite graph so that each {x_i, y_i} is an edge, project the
-covers onto the x side to get a bounded sublattice of the subset lattice,
-and tie the rank of that lattice to the exact rank of the cover incidence
-matrix: the dimension of the semigroup generated by the cover monomials is
-always the lattice rank plus one, and every pipeline run re-verifies that.
+unmixed bipartite graph so that each {x_i, y_i} is an edge, read its cover
+lattice off the labeled edges (the down-sets of i <= j iff x_i y_j is an
+edge), and tie the lattice rank to the exact rank of the cover incidence
+matrix: the semigroup of the cover monomials has dimension rank plus one,
+and every pipeline run re-verifies that.
 """
 
 from .exceptions import CoverError, GraphError, InconsistencyError, LatticeError
@@ -43,7 +43,6 @@ from .lattice import (
     hasse,
     hasse_to_dot,
     is_sublattice,
-    lattice_from_covers,
     parse_lattice,
     random_sublattice,
     rank,
@@ -93,7 +92,6 @@ __all__ = [
     "hasse_to_dot",
     "is_sublattice",
     "is_unmixed",
-    "lattice_from_covers",
     "monomial_string",
     "multichain_counts",
     "neighborhood",

@@ -128,16 +128,6 @@ class Relabeling:
                 return side, sources.index(vertex) + 1
         raise KeyError(vertex)
 
-    def map_covers(self, covers: Sequence[Cover]) -> tuple[Cover, ...]:
-        """The covers renumbered as vertices of the labeled graph, in cover order.
-
-        x_i becomes vertex i and y_i vertex n + i. The relabeling is a graph
-        isomorphism, so the minimal covers of the original graph map onto
-        exactly the minimal covers of the labeled one.
-        """
-        label = {v: i for i, v in enumerate(self.x_source + self.y_source, start=1)}
-        return tuple(sorted((frozenset(label[v] for v in c) for c in covers), key=_element_key))
-
 
 def _validate_matching(g: Graph, part: Bipartition, matching: Mapping[int, int]) -> None:
     if set(matching) != set(part.side_u) or set(matching.values()) != set(part.side_v):

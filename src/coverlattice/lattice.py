@@ -7,9 +7,9 @@ bounded sublattice is the family of down-sets of one preorder on {1..n}:
 pred[j], the intersection of the members that contain j, holds the
 elements at or below j. CoverLattice accepts a family only if it equals
 the down-sets of its own preorder, and keeps the element masks and pred;
-producers that hold masks build it with CoverLattice._from_masks. The rank
-is the number of distinct pred[j], and the inverse construction reads the
-unique diagonal-labeled bipartite graph of the family off the preorder.
+producers that hold a preorder, such as a labeled graph's edges
+(_edge_preorder), build it with CoverLattice._from_preorder. The rank is
+the number of distinct pred[j], and the inverse graph writes pred out as edges.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "HasseDiagram",
     "ClosureCertificate",
     "is_sublattice",
-    "lattice_from_covers",
     "hasse",
     "rank",
     "graph_from_lattice",
@@ -36,6 +35,8 @@ __all__ = [
     "parse_lattice",
     "hasse_to_dot",
 ]
+
+MAX_LATTICE_N = 256  # parse_lattice's cap on n: the inverse graph has up to n^2 edges
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -118,6 +119,14 @@ def _downsets(pred: list[int], limit: int) -> set[int] | None:
     return found
 
 
+def _edge_preorder(lg: LabeledBipartiteGraph) -> list[int]:
+    """pred[j - 1]: the mask of the i with x_i y_j an edge, the relation i <= j."""
+    pred = [0] * lg.n
+    for i, j in lg.edges:
+        pred[j - 1] |= 1 << (i - 1)
+    return pred
+
+
 def _lattice_preorder(masks: set[int], n: int) -> list[int] | None:
     """The preorder of distinct masks, or None unless they are its down-sets."""
     if 0 not in masks or (1 << n) - 1 not in masks:  # down-sets hold both; test before n x n bits
@@ -189,36 +198,35 @@ class CoverLattice:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise LatticeError("need n >= 1")
-        self._hold(_element_masks(self.elements, self.n))
-
-    @classmethod
-    def _from_masks(cls, n: int, masks: Iterable[int]) -> CoverLattice:
-        """The lattice of masks, validated as the constructor does; sets are made once."""
-        if n < 1:
-            raise LatticeError("need n >= 1")
-        lat = object.__new__(cls)
-        object.__setattr__(lat, "n", n)
-        lat._hold({_mask_to_set(m): m for m in masks})
-        return lat
-
-    def _hold(self, mask_of: dict[frozenset[int], int]) -> None:
+        mask_of = _element_masks(self.elements, self.n)
         pred = _lattice_preorder(set(mask_of.values()), self.n)
         if pred is None:
             cert = _certificate(set(mask_of), self.n)
             raise LatticeError(f"not a bounded sublattice: {cert}", certificate=cert)
+        self._hold(mask_of, pred)
+
+    @classmethod
+    def _from_preorder(cls, n: int, pred: list[int]) -> CoverLattice:
+        """The down-sets of pred; InconsistencyError unless pred is a preorder.
+
+        Their own preorder is pred exactly when pred is reflexive and transitive.
+        """
+        masks = _downsets(pred, 1 << n)
+        if _preorder(masks, n) != pred:
+            raise InconsistencyError(
+                "relation is not a preorder (reflexive and transitive)",
+                details={"n": n, "pred": [sorted(_mask_to_set(p)) for p in pred]},
+            )
+        lat = object.__new__(cls)
+        object.__setattr__(lat, "n", n)
+        lat._hold({_mask_to_set(m): m for m in masks}, pred)
+        return lat
+
+    def _hold(self, mask_of: dict[frozenset[int], int], pred: list[int]) -> None:
         elements = tuple(sorted(mask_of, key=_element_key))
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "masks", tuple(map(mask_of.__getitem__, elements)))
         object.__setattr__(self, "pred", tuple(pred))
-
-
-def lattice_from_covers(parts: Iterable[frozenset[int]], n: int) -> CoverLattice:
-    """Collect cover x-parts into their lattice.
-
-    For x-parts of a genuine unmixed labeled graph the closure requirements
-    cannot fail; a LatticeError here therefore signals an upstream bug.
-    """
-    return CoverLattice(n, tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -268,10 +276,7 @@ def graph_from_lattice(lat: CoverLattice) -> LabeledBipartiteGraph:
     n = lat.n
     edges = frozenset((i + 1, j + 1) for j, p in enumerate(lat.pred) for i in _bits(p))
     lg = LabeledBipartiteGraph(n, edges)
-    back = [0] * n
-    for i, j in lg.edges:
-        back[j - 1] |= 1 << (i - 1)
-    if _downsets(back, len(lat.masks)) != set(lat.masks):
+    if _downsets(_edge_preorder(lg), len(lat.masks)) != set(lat.masks):
         raise InconsistencyError(
             "reconstructed cover lattice differs from the input lattice",
             details={
@@ -296,16 +301,15 @@ def enumerate_sublattices(n: int) -> Iterator[CoverLattice]:
     middle = list(range(1, full))
     for combo in range(1 << len(middle)):
         family = {0, full, *(m for t, m in enumerate(middle) if combo >> t & 1)}
-        if _lattice_preorder(family, n) is not None:
-            yield CoverLattice._from_masks(n, family)
+        if (pred := _lattice_preorder(family, n)) is not None:
+            yield CoverLattice._from_preorder(n, pred)
 
 
 def random_sublattice(n: int, generator_count: int, seed: int) -> CoverLattice:
     """Union/intersection closure of seeded random subsets plus the two bounds.
 
     Deterministic per (n, generator_count, seed). The closure is the set of
-    down-sets of the preorder the draws induce, at most the 2^n subsets of
-    the ground set.
+    down-sets of the preorder the draws induce.
     """
     if not 1 <= n <= 16:
         raise LatticeError(f"random generation is limited to 1 <= n <= 16, got {n}")
@@ -314,7 +318,7 @@ def random_sublattice(n: int, generator_count: int, seed: int) -> CoverLattice:
     rng = random.Random(seed)
     drawn = {0, (1 << n) - 1}
     drawn.update(rng.getrandbits(n) for _ in range(generator_count))
-    return CoverLattice._from_masks(n, _downsets(_preorder(drawn, n), 1 << n))
+    return CoverLattice._from_preorder(n, _preorder(drawn, n))
 
 
 def format_lattice(lat: CoverLattice) -> str:
@@ -349,6 +353,8 @@ def parse_lattice(text: str) -> CoverLattice:
                 raise LatticeError(f"line {lineno}: bad count in {raw!r}") from None
             if n < 1:
                 raise LatticeError(f"line {lineno}: need n >= 1")
+            if n > MAX_LATTICE_N:
+                raise LatticeError(f"line {lineno}: n={n} exceeds the cap of {MAX_LATTICE_N}")
             continue
         if line == "{}":
             elements.append(frozenset())

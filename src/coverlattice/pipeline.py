@@ -16,7 +16,7 @@ from .covers import (
 )
 from .exceptions import InconsistencyError
 from .graphs import Bipartition, Graph, LabeledBipartiteGraph, as_graph, bipartition
-from .lattice import CoverLattice, _element_key, _mask_to_set, graph_from_lattice
+from .lattice import CoverLattice, _edge_preorder, _element_key, _mask_to_set, graph_from_lattice
 
 __all__ = ["GraphAnalysis", "LatticeVerification", "analyze_graph", "verify_lattice"]
 
@@ -26,7 +26,7 @@ class GraphAnalysis:
     """Everything derivable from one input graph.
 
     The lattice-and-dimension fields stay None unless the graph is both
-    bipartite and unmixed.
+    bipartite and unmixed; the lattice elements are the x-parts of the covers of labeled.
     """
 
     graph: Graph
@@ -35,25 +35,30 @@ class GraphAnalysis:
     unmixed: bool
     labeled: LabeledBipartiteGraph | None = None
     relabeling: Relabeling | None = None
-    labeled_covers: tuple[Cover, ...] | None = None
     lattice: CoverLattice | None = None
     report: DimensionReport | None = None
 
 
 def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAnalysis:
-    """Bipartition and covers always; the full dimension pipeline when possible."""
+    """Bipartition and covers always; the full dimension pipeline when possible.
+
+    The lattice is the down-sets of the labeled edge relation (Villarreal): a
+    preorder with one down-set per minimal cover, else InconsistencyError.
+    """
     part = bipartition(g)
     covers = enumerate_minimal_covers(g, max_vertices=max_vertices)
     unmixed = is_unmixed(covers)
     if part is None or not unmixed:
         return GraphAnalysis(g, part, covers, unmixed)
     labeled, relabeling = relabel(g, part, covers)
-    labeled_covers = relabeling.map_covers(covers)
-    lat = CoverLattice._from_masks(labeled.n, _x_masks(labeled.n, labeled_covers))
+    lat = CoverLattice._from_preorder(labeled.n, _edge_preorder(labeled))
+    if len(lat.masks) != len(covers):
+        raise InconsistencyError(
+            f"lattice of the labeled edges has {len(lat.masks)} elements, covers={len(covers)}",
+            details={"n": labeled.n, "edges": sorted(labeled.edges)},
+        )
     report = dimension_report(labeled, lat)
-    return GraphAnalysis(
-        g, part, covers, unmixed, labeled, relabeling, labeled_covers, lat, report
-    )
+    return GraphAnalysis(g, part, covers, unmixed, labeled, relabeling, lat, report)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coverlattice import (
+    CoverLattice,
     InconsistencyError,
     LabeledBipartiteGraph,
     as_graph,
@@ -12,7 +13,6 @@ from coverlattice import (
     enumerate_sublattices,
     format_report,
     graph_from_lattice,
-    lattice_from_covers,
     monomial_string,
     multichain_counts,
     random_sublattice,
@@ -32,7 +32,7 @@ EDGE1 = LabeledBipartiteGraph(1, frozenset({(1, 1)}))
 
 def _pipeline(lg):
     covers = enumerate_minimal_covers(as_graph(lg))
-    lat = lattice_from_covers(x_parts(lg, covers), lg.n)
+    lat = CoverLattice(lg.n, x_parts(lg, covers))
     return covers, lat
 
 

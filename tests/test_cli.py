@@ -13,8 +13,32 @@ import pytest
 
 import coverlattice
 from coverlattice.cli import main
+from coverlattice.lattice import MAX_LATTICE_N
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT, matching_graph
+
+
+def _run_capped(*args):
+    """Run python with args in a child capped at 1 GB of address space; (result, seconds).
+
+    The cap and a timeout turn a dropped size guard into a failure rather than a hang.
+    """
+    memory = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(coverlattice.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=cap_memory,
+        env=env,
+    )
+    return done, time.perf_counter() - start
 
 
 @pytest.fixture
@@ -181,50 +205,43 @@ class TestFromLattice:
 
     def test_limit_bounds_the_downset_build(self, write):
         # {} and the 40 singletons induce the discrete preorder with 2^40
-        # down-sets; only the limit stops the build after |family| of them.
-        # A child process with a time and memory cap turns a dropped limit
-        # into a failure rather than a hang.
+        # down-sets; only the limit stops the build after |family| of them
         text = "n=40\n{}\n" + "".join(f"{i}\n" for i in range(1, 41))
-        path = write("l.txt", text)
-        memory = 1 << 30
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
-
-        env = dict(os.environ, PYTHONPATH=str(Path(coverlattice.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-m", "coverlattice.cli", "from-lattice", path],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            preexec_fn=cap_memory,
-            env=env,
-        )
+        done, _ = _run_capped("-m", "coverlattice.cli", "from-lattice", write("l.txt", text))
         assert done.returncode == 2
         assert "certificate: {1} | {2} = {1,2} is missing" in done.stderr
 
-    def test_huge_ground_set_without_top_fails_fast(self, write):
+    def test_huge_ground_set_without_top_fails_fast(self):
         # the preorder of n = 10^6 would be 10^6 ints of 10^6 bits; the
-        # missing full set must be found before it is built
-        path = write("l.txt", "n=1000000\n{}\n")
-        memory = 1 << 30
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
-
-        env = dict(os.environ, PYTHONPATH=str(Path(coverlattice.__file__).parents[1]))
-        start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-m", "coverlattice.cli", "from-lattice", path],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            preexec_fn=cap_memory,
-            env=env,
+        # constructor must find the missing full set before it is built
+        # (a lattice file that large stops at the header cap instead)
+        code = (
+            "from coverlattice import CoverLattice, LatticeError\n"
+            "try:\n    CoverLattice(10**6, (frozenset(),))\n"
+            "except LatticeError as exc:\n    print(exc.certificate)\n"
         )
-        assert time.perf_counter() - start < 1.0
+        done, seconds = _run_capped("-c", code)
+        assert seconds < 1.0
+        assert done.returncode == 0
+        assert done.stdout == "the full set is missing\n"
+
+    def test_ground_set_over_the_cap_exits_2_fast(self, write):
+        # a valid lattice, {} and 1..10^5: past the cap its preorder alone is
+        # 10^5 ints of 10^5 bits, and its graph would have 10^10 edges
+        text = "n=100000\n{}\n" + ",".join(map(str, range(1, 100001))) + "\n"
+        done, seconds = _run_capped("-m", "coverlattice.cli", "from-lattice", write("l.txt", text))
+        assert seconds < 1.0
         assert done.returncode == 2
-        assert "certificate: the full set is missing" in done.stderr
+        assert done.stderr == f"error: line 1: n=100000 exceeds the cap of {MAX_LATTICE_N}\n"
+
+    def test_ground_set_at_the_cap_round_trips(self, write, capsys):
+        n = MAX_LATTICE_N
+        text = f"n={n}\n{{}}\n" + ",".join(map(str, range(1, n + 1))) + "\n"
+        assert main(["from-lattice", write("l.txt", text)]) == 0
+        captured = capsys.readouterr()
+        everything = "".join(f"{i} {j}\n" for i in range(1, n + 1) for j in range(1, n + 1))
+        assert captured.out == f"n={n}\n" + everything  # the complete bipartite graph
+        assert "round-trip=ok" in captured.err
 
 
 class TestVerify:

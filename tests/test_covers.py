@@ -132,6 +132,11 @@ class TestRelabel:
         assert rel.y_source == (2, 4)
         assert rel.label_of(3) == ("x", 2)
         assert rel.label_of(4) == ("y", 2)
+        # the path 1-2-3-4, the four-cycle less 1-4: x1=1, x2=3, y1=2, y2=4
+        path = parse_graph("1 2\n2 3\n3 4\n")
+        lg, rel = relabel(path, bipartition(path), enumerate_minimal_covers(path))
+        assert (rel.x_source, rel.y_source) == ((1, 3), (2, 4))
+        assert lg.edges == frozenset({(1, 1), (2, 1), (2, 2)})
 
     def test_single_edge(self, single_edge):
         lg, _ = relabel(
@@ -169,16 +174,6 @@ class TestRelabel:
         lg, rel = relabel(four_cycle, part, covers, matching={1: 4, 3: 2})
         assert lg.edges == frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
         assert rel.y_source == (4, 2)
-
-    def test_map_covers_gives_the_labeled_graph_covers(self):
-        # path 1-2-3-4: x1=1, x2=3, y1=2, y2=4, so x_i -> i and y_i -> 2 + i
-        g = parse_graph("1 2\n2 3\n3 4\n")
-        covers = enumerate_minimal_covers(g)
-        lg, rel = relabel(g, bipartition(g), covers)
-        assert (rel.x_source, rel.y_source) == ((1, 3), (2, 4))
-        mapped = rel.map_covers(covers)
-        assert mapped == (frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4}))
-        assert mapped == enumerate_minimal_covers(as_graph(lg))
 
 
 class TestXParts:
@@ -263,7 +258,7 @@ class TestUnmixedLabeledInvariants:
 
     def test_relabeling_invariance(self):
         """Rank and dimension quantities do not depend on the matching choice."""
-        from coverlattice import dimension_report, lattice_from_covers
+        from coverlattice import CoverLattice, dimension_report
 
         g = graph_from_edges([(i, 3 + j) for i in (1, 2, 3) for j in (1, 2, 3)])
         part = bipartition(g)
@@ -277,7 +272,7 @@ class TestUnmixedLabeledInvariants:
             tried += 1
             lg, _ = relabel(g, part, covers, matching=pairing)
             lcov = enumerate_minimal_covers(as_graph(lg))
-            lat = lattice_from_covers(x_parts(lg, lcov), lg.n)
+            lat = CoverLattice(lg.n, x_parts(lg, lcov))
             rep = dimension_report(lg, lat)
             outcomes.add(
                 (rep.rank_full, rep.rank_truncated, rep.lattice_rank, rep.dimension)

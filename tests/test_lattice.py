@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from coverlattice import (
     CoverLattice,
+    InconsistencyError,
     LatticeError,
     enumerate_sublattices,
     format_lattice,
@@ -12,11 +13,12 @@ from coverlattice import (
     hasse,
     hasse_to_dot,
     is_sublattice,
-    lattice_from_covers,
     parse_lattice,
     random_sublattice,
     rank,
 )
+
+from coverlattice.lattice import MAX_LATTICE_N
 
 from oracles import (
     brute_force_closure,
@@ -60,41 +62,40 @@ class TestConstruction:
             assert b.pred == as_masks(preorder_by_intersection(b.elements, b.n))
             assert b.masks == as_masks(b.elements)
         assert len(built) == 389 + 40
-        # both generators build through the mask entry; the public
-        # constructor, and the mask entry fed in another order, agree with them
+        # both generators build through the preorder entry; the public
+        # constructor, fed the elements in another order, agrees with them
         for b in built:
             public = CoverLattice(b.n, tuple(set(e) for e in reversed(b.elements)))
-            shuffled = CoverLattice._from_masks(b.n, list(reversed(b.masks)) * 2)
-            for other in (public, shuffled):
-                assert (other.elements, other.masks, other.pred) == (b.elements, b.masks, b.pred)
+            assert (public.elements, public.masks, public.pred) == (b.elements, b.masks, b.pred)
 
-    @pytest.mark.parametrize(
-        "n, sets",
-        [
-            (2, [(), {1}, {2}]),
-            (3, [(), {1, 2}, {2, 3}, {1, 2, 3}]),
-            (2, [{1}, {1, 2}]),
-            (3, [(), {2}]),
-            (2, [(), {1}, {2}, {1, 2}, {2}, {1}]),
-        ],
-    )
-    def test_mask_entry_matches_the_constructor(self, n, sets):
-        masks = [sum(1 << (i - 1) for i in s) for s in sets]
-        try:
-            expected = CoverLattice(n, tuple(frozenset(s) for s in sets))
-        except LatticeError as exc:
-            with pytest.raises(LatticeError) as info:
-                CoverLattice._from_masks(n, masks)
-            assert str(info.value) == str(exc)
-            assert str(info.value.certificate) == str(exc.certificate)
-            assert info.value.certificate == exc.certificate
-        else:
-            built = CoverLattice._from_masks(n, masks)
-            assert (built.elements, built.masks, built.pred) == (
-                expected.elements,
-                expected.masks,
-                expected.pred,
+    @pytest.mark.parametrize("n, preorders", [(1, 1), (2, 4), (3, 29), (4, 355)])
+    def test_preorder_entry_accepts_exactly_the_preorders(self, n, preorders):
+        """Every relation on n points: pred[j] is the set of i with i <= j + 1."""
+        accepted = 0
+        for code in range(1 << n * n):
+            pred = [code >> (n * j) & ((1 << n) - 1) for j in range(n)]
+            le = [[pred[j] >> i & 1 for j in range(n)] for i in range(n)]
+            is_preorder = all(le[i][i] for i in range(n)) and all(
+                le[i][k] or not (le[i][j] and le[j][k])
+                for i in range(n)
+                for j in range(n)
+                for k in range(n)
             )
+            try:
+                built = CoverLattice._from_preorder(n, pred)
+            except InconsistencyError as exc:
+                assert not is_preorder
+                assert exc.details["n"] == n
+                continue
+            assert is_preorder
+            accepted += 1
+            public = CoverLattice(n, built.elements)
+            assert (built.elements, built.masks, built.pred) == (
+                public.elements,
+                public.masks,
+                public.pred,
+            )
+        assert accepted == preorders  # OEIS A000798, the preorders on n labeled points
 
     def test_constructor_keeps_the_callers_frozensets(self):
         sets = (frozenset(), frozenset({1}), frozenset({1, 2}))
@@ -106,10 +107,6 @@ class TestConstruction:
             lat(2, (), {1, 5}, {4}, {3}, {1, 2})
         with pytest.raises(LatticeError, match="need n >= 1"):
             lat(0, {1})
-
-    def test_lattice_from_covers(self):
-        built = lattice_from_covers([EMPTY, frozenset({1, 2})], 2)
-        assert built.elements == (EMPTY, frozenset({1, 2}))
 
 
 class TestIsSublattice:
@@ -233,6 +230,13 @@ class TestGraphFromLattice:
                 lg = graph_from_lattice(built)
                 covers = enumerate_minimal_covers(as_graph(lg))
                 assert set(x_parts(lg, covers)) == set(built.elements)
+
+    def test_edges_read_back_as_the_preorder(self):
+        from coverlattice.lattice import _edge_preorder
+
+        for n in (1, 2, 3, 4):
+            for built in enumerate_sublattices(n):
+                assert tuple(_edge_preorder(graph_from_lattice(built))) == built.pred
 
     def test_round_trip_random(self):
         rng = random.Random(99)
@@ -384,6 +388,10 @@ class TestSerialization:
     def test_parse_rejects_out_of_range(self):
         with pytest.raises(LatticeError, match="out of range"):
             parse_lattice("n=2\n{}\n3\n1,2\n")
+
+    def test_parse_refuses_n_over_the_cap(self):
+        with pytest.raises(LatticeError, match=f"exceeds the cap of {MAX_LATTICE_N}$"):
+            parse_lattice(f"n={MAX_LATTICE_N + 1}\n{{}}\n")
 
     def test_parse_needs_header(self):
         with pytest.raises(LatticeError, match="header"):

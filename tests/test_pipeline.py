@@ -116,3 +116,51 @@ class TestVerifyLattice:
         outcome = verify_lattice(lat)
         assert outcome.labeled.edges == frozenset({(1, 1), (2, 2), (1, 2)})
         assert outcome.lattice == lat
+
+
+class TestAnalyzeGraphAlarms:
+    """The lattice read off the labeled edges checks the cover enumeration."""
+
+    @pytest.fixture
+    def lose(self, monkeypatch):
+        from coverlattice import pipeline
+
+        enumerate_all = pipeline.enumerate_minimal_covers
+
+        def install(lost):
+            def lossy(g, max_vertices):
+                covers = enumerate_all(g, max_vertices=max_vertices)
+                return tuple(c for k, c in enumerate(covers) if not lost(k, c))
+
+            monkeypatch.setattr(pipeline, "enumerate_minimal_covers", lossy)
+
+        return install
+
+    def _dim_exit_code(self, tmp_path, text):
+        from coverlattice.cli import main
+
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        return main(["dim", str(path)])
+
+    def test_lost_cover_fails_the_count(self, lose, tmp_path, capsys):
+        # the 2-edge matching less {1,4}: three covers, all of size 2, so
+        # still unmixed, but the labeled edges give the four-element lattice
+        lose(lambda k, c: k == 1)
+        text = "1 2\n3 4\n"
+        with pytest.raises(InconsistencyError, match="has 4 elements, covers=3") as info:
+            analyze_graph(parse_graph(text))
+        assert info.value.details == {"n": 2, "edges": [(1, 1), (2, 2)]}
+        assert self._dim_exit_code(tmp_path, text) == 1
+        assert "INCONSISTENCY: lattice of the labeled edges has 4" in capsys.readouterr().err
+
+    def test_lost_large_cover_fails_the_preorder(self, lose, tmp_path, capsys):
+        # the path 1-...-6 is mixed only through {1,3,4,6}; without it every
+        # cover has size 3, but 3 <= 2 <= 1 and not 3 <= 1 in the labeled edges
+        lose(lambda k, c: c == frozenset({1, 3, 4, 6}))
+        text = "1 2\n2 3\n3 4\n4 5\n5 6\n"
+        with pytest.raises(InconsistencyError, match="not a preorder") as info:
+            analyze_graph(parse_graph(text))
+        assert info.value.details == {"n": 3, "pred": [[1, 2], [2, 3], [3]]}
+        assert self._dim_exit_code(tmp_path, text) == 1
+        assert "INCONSISTENCY: relation is not a preorder" in capsys.readouterr().err
