@@ -16,10 +16,8 @@ from .graphs import (
     as_graph,
     bipartition,
     graph_from_edges,
-    neighborhood,
     parse_graph,
     parse_labeled,
-    serialize_graph,
     serialize_labeled,
 )
 from .covers import (
@@ -27,7 +25,6 @@ from .covers import (
     Relabeling,
     enumerate_minimal_covers,
     format_covers,
-    hall_condition_holds,
     is_unmixed,
     perfect_matching,
     relabel,
@@ -51,10 +48,8 @@ from .algebra import (
     DimensionReport,
     dimension_report,
     format_report,
-    monomial_string,
     multichain_counts,
     rank_exact,
-    rank_mod,
 )
 from .pipeline import GraphAnalysis, LatticeVerification, analyze_graph, verify_lattice
 
@@ -87,14 +82,11 @@ __all__ = [
     "format_report",
     "graph_from_edges",
     "graph_from_lattice",
-    "hall_condition_holds",
     "hasse",
     "hasse_to_dot",
     "is_sublattice",
     "is_unmixed",
-    "monomial_string",
     "multichain_counts",
-    "neighborhood",
     "parse_graph",
     "parse_labeled",
     "parse_lattice",
@@ -102,9 +94,7 @@ __all__ = [
     "random_sublattice",
     "rank",
     "rank_exact",
-    "rank_mod",
     "relabel",
-    "serialize_graph",
     "serialize_labeled",
     "verify_lattice",
     "x_parts",

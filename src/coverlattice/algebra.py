@@ -17,7 +17,9 @@ the full instance. The Gram identity fails over a field of characteristic
 p (a nonzero vector can have |Mv|^2 = 0 there), so the ranks over GF(2) and
 GF(3), which on a cover matrix equal the rank over the rationals, come from
 elimination on the same 2n columns packed as bitmasks: XORs over GF(2), and
-bit-sliced (ones, twos) mask pairs over GF(3).
+bit-sliced (ones, twos) mask pairs over GF(3). No rank over a general GF(p)
+is computed here; the tests hold that one, as the reference for the bit
+elimination.
 
 The semigroup ring is the Hibi ring of the cover lattice L (Hibi 1987;
 Herzog-Hibi-Ohsugi, arXiv:0811.0747): its degree-t monomials correspond to
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from math import isqrt
 
 from .exceptions import InconsistencyError
 from .graphs import LabeledBipartiteGraph
@@ -37,23 +38,11 @@ from .lattice import CoverLattice, rank
 
 __all__ = [
     "DimensionReport",
-    "monomial_string",
     "rank_exact",
-    "rank_mod",
     "dimension_report",
     "multichain_counts",
     "format_report",
 ]
-
-
-def monomial_string(vec: Sequence[int]) -> str:
-    """Squarefree monomial named by the vector, e.g. (1,0,0,1) -> "x1*y2"."""
-    if len(vec) % 2 != 0 or any(e not in (0, 1) for e in vec):
-        raise ValueError("expected a 0/1 vector of even length")
-    n = len(vec) // 2
-    names = [f"x{i + 1}" for i in range(n) if vec[i]]
-    names += [f"y{i + 1}" for i in range(n) if vec[n + i]]
-    return "*".join(names) if names else "1"
 
 
 def rank_exact(rows: Sequence[Sequence[int]]) -> int:
@@ -92,35 +81,6 @@ def rank_exact(rows: Sequence[Sequence[int]]) -> int:
         pivots += 1
         if pivots == len(m):
             break
-    return pivots
-
-
-def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over the field with p elements (p prime).
-
-    On a cover matrix it equals the rank over the rationals for every p.
-    The dimension report checks that for p = 2, 3 by bit elimination on its
-    own columns; this general-p routine is the reference that path is tested
-    against. Eliminates on the transpose, which has the same rank: a cover
-    matrix has 2n columns and one row per cover, so the transpose has few
-    long rows.
-    """
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        raise ValueError("p must be a prime >= 2")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
-    m = [[int(e) % p for e in col] for col in zip(*rows)]
-    pivots = 0
-    for i, row in enumerate(m):
-        col = next((c for c, e in enumerate(row) if e), None)
-        if col is None:
-            continue
-        pivots += 1
-        inv = pow(row[col], -1, p)
-        for r in range(i + 1, len(m)):
-            f = m[r][col] * inv % p
-            if f:
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], row)]
     return pivots
 
 

@@ -46,9 +46,13 @@ def _jsonable(value):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # an unreadable input, like a missing file: main reports it and exits 2
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_graph(path: str) -> Graph:

@@ -8,7 +8,7 @@ here: ascending size, then lexicographic on the sorted members.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .exceptions import CoverError
@@ -23,7 +23,6 @@ __all__ = [
     "perfect_matching",
     "relabel",
     "x_parts",
-    "hall_condition_holds",
     "format_covers",
 ]
 
@@ -122,33 +121,19 @@ class Relabeling:
     x_source: tuple[int, ...]
     y_source: tuple[int, ...]
 
-    def label_of(self, vertex: int) -> tuple[str, int]:
-        for side, sources in (("x", self.x_source), ("y", self.y_source)):
-            if vertex in sources:
-                return side, sources.index(vertex) + 1
-        raise KeyError(vertex)
-
-
-def _validate_matching(g: Graph, part: Bipartition, matching: Mapping[int, int]) -> None:
-    if set(matching) != set(part.side_u) or set(matching.values()) != set(part.side_v):
-        raise CoverError("matching must pair side_u bijectively with side_v")
-    for u, v in matching.items():
-        key = (u, v) if u < v else (v, u)
-        if key not in g.edges:
-            raise CoverError(f"matched pair {u}-{v} is not an edge")
-
 
 def relabel(
-    g: Graph,
-    part: Bipartition,
-    covers: Sequence[Cover],
-    matching: Mapping[int, int] | None = None,
+    g: Graph, part: Bipartition, covers: Sequence[Cover]
 ) -> tuple[LabeledBipartiteGraph, Relabeling]:
     """Normalize an unmixed bipartite graph so that (i, i) is an edge for all i.
 
-    side_u keeps its ascending order as x_1..x_n and the matched partner of
-    the i-th x vertex becomes y_i. Any perfect matching is a valid choice;
-    pass one explicitly to override the deterministic default.
+    side_u keeps its ascending order as x_1..x_n and the partner of the i-th
+    x vertex in perfect_matching becomes y_i. No other matching would change
+    the labeled edges: on an unmixed graph "x_i y_j is an edge" is a preorder
+    i <= j (Villarreal 2007), and a perfect matching pairing each x_i with
+    y_pi(i) has i <= pi(i) <= pi^2(i) <= ... <= i, so it only permutes y
+    vertices within one class of the preorder. The choice shows only in
+    Relabeling.y_source.
     """
     if not is_unmixed(covers):
         sizes = sorted({len(c) for c in covers})
@@ -158,15 +143,12 @@ def relabel(
     family = set(covers)
     if frozenset(part.side_u) not in family or frozenset(part.side_v) not in family:
         raise CoverError("each side must itself be one of the minimal covers")
+    matching = perfect_matching(g, part)
     if matching is None:
-        matching = perfect_matching(g, part)
-        if matching is None:
-            raise CoverError(
-                "inconsistent input: no perfect matching exists, "
-                "which cannot happen for an unmixed bipartite graph"
-            )
-    else:
-        _validate_matching(g, part, matching)
+        raise CoverError(
+            "inconsistent input: no perfect matching exists, "
+            "which cannot happen for an unmixed bipartite graph"
+        )
     xs = sorted(part.side_u)
     x_index = {v: i for i, v in enumerate(xs, start=1)}
     y_index = {matching[v]: i for i, v in enumerate(xs, start=1)}
@@ -219,21 +201,6 @@ def x_parts(
     pair; a violation means lg was not an unmixed labeling and is an error.
     """
     return tuple(map(_mask_to_set, _x_masks(lg.n, covers)))
-
-
-def hall_condition_holds(lg: LabeledBipartiteGraph) -> bool:
-    """Exhaustively check |U'| <= |N(U')| over all subsets of the x side."""
-    n = lg.n
-    nbr = [0] * (n + 1)
-    for i, j in lg.edges:
-        nbr[i] |= 1 << (j - 1)
-    for mask in range(1, 1 << n):
-        neighbors = 0
-        for i in _bits(mask):
-            neighbors |= nbr[i + 1]
-        if neighbors.bit_count() < mask.bit_count():
-            return False
-    return True
 
 
 def format_covers(covers: Sequence[Cover]) -> str:

@@ -19,9 +19,7 @@ __all__ = [
     "LabeledBipartiteGraph",
     "graph_from_edges",
     "parse_graph",
-    "serialize_graph",
     "bipartition",
-    "neighborhood",
     "as_graph",
     "parse_labeled",
     "serialize_labeled",
@@ -146,11 +144,6 @@ def parse_graph(text: str) -> Graph:
     return Graph(top, frozenset(edges))
 
 
-def serialize_graph(g: Graph) -> str:
-    """Canonical edge-list text: edges sorted lexicographically, one per line."""
-    return "\n".join(f"{u} {v}" for u, v in sorted(g.edges)) + "\n"
-
-
 def bipartition(g: Graph) -> Bipartition | None:
     """2-color the graph if possible, None if some component has an odd cycle.
 
@@ -175,15 +168,6 @@ def bipartition(g: Graph) -> Bipartition | None:
     side_u = frozenset(v for v, c in color.items() if c == 0)
     side_v = frozenset(v for v, c in color.items() if c == 1)
     return Bipartition(side_u, side_v)
-
-
-def neighborhood(lg: LabeledBipartiteGraph, u_sub: Iterable[int]) -> frozenset[int]:
-    """Indices j with some {x_i, y_j} edge for i in u_sub."""
-    wanted = set(u_sub)
-    for i in wanted:
-        if not 1 <= i <= lg.n:
-            raise GraphError(f"index {i} is out of range 1..{lg.n}")
-    return frozenset(j for i, j in lg.edges if i in wanted)
 
 
 def as_graph(lg: LabeledBipartiteGraph) -> Graph:

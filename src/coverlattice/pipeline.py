@@ -45,8 +45,9 @@ def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAn
     The lattice is the down-sets of the labeled edge relation (Villarreal): a
     preorder with one down-set per minimal cover, else InconsistencyError.
     """
-    part = bipartition(g)
+    # the cover enumeration enforces the vertex cap, so it runs first
     covers = enumerate_minimal_covers(g, max_vertices=max_vertices)
+    part = bipartition(g)
     unmixed = is_unmixed(covers)
     if part is None or not unmixed:
         return GraphAnalysis(g, part, covers, unmixed)

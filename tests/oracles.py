@@ -2,21 +2,24 @@
 
 Everything here trades efficiency for obviousness and shares no code with
 the package internals: covers come from filtering every vertex subset, rank
-comes from cofactor-expansion minors, odd cycles come from adjacency-matrix
-powers, chain length comes from dynamic programming over the full subset
-order, the sublattice a family generates comes from adding pairwise
-unions and intersections until nothing changes, the preorder of a lattice
-comes from intersecting the members that contain each point, Hasse
-diagrams come from testing every triple of elements, cover matrix rows come
-from the enumerated covers, and the Hilbert function of the cover semigroup
-ring comes from collecting every distinct sum of t rows.
+comes from cofactor-expansion minors and, over GF(p), also from plain
+elimination mod p, Hall's condition comes from listing every subset of the
+x side, odd cycles come from adjacency-matrix powers, chain length comes
+from dynamic programming over the full subset order, the sublattice a
+family generates comes from adding pairwise unions and intersections until
+nothing changes, the preorder of a lattice comes from intersecting the
+members that contain each point, Hasse diagrams come from testing every
+triple of elements, cover matrix rows come from the enumerated covers, and
+the Hilbert function of the cover semigroup ring comes from collecting
+every distinct sum of t rows.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import isqrt
 
-from coverlattice import Graph, graph_from_edges
+from coverlattice import Graph, LabeledBipartiteGraph, graph_from_edges
 
 
 def brute_force_minimal_covers(g: Graph) -> tuple[frozenset[int], ...]:
@@ -80,6 +83,40 @@ def rank_by_minors(matrix, p: int | None = None) -> int:
                 if (det % p if p else det) != 0:
                     return k
     return 0
+
+
+def rank_mod(rows, p: int) -> int:
+    """Rank over the field with p elements (p prime), by row elimination.
+
+    Eliminates on the transpose, which has the same rank: a cover matrix has
+    2n columns and one row per cover, so the transpose has few long rows.
+    """
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError("p must be a prime >= 2")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
+    m = [[int(e) % p for e in col] for col in zip(*rows)]
+    pivots = 0
+    for i, row in enumerate(m):
+        col = next((c for c, e in enumerate(row) if e), None)
+        if col is None:
+            continue
+        pivots += 1
+        inv = pow(row[col], -1, p)
+        for r in range(i + 1, len(m)):
+            f = m[r][col] * inv % p
+            if f:
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], row)]
+    return pivots
+
+
+def hall_condition_holds(lg: LabeledBipartiteGraph) -> bool:
+    """|U'| <= |N(U')| for every nonempty subset U' of the x side, each listed."""
+    for size in range(1, lg.n + 1):
+        for subset in itertools.combinations(range(1, lg.n + 1), size):
+            if len({j for i, j in lg.edges if i in subset}) < size:
+                return False
+    return True
 
 
 def has_odd_closed_walk(g: Graph) -> bool:

@@ -15,7 +15,6 @@ from coverlattice import (
     as_graph,
     enumerate_minimal_covers,
     enumerate_sublattices,
-    hall_condition_holds,
     is_unmixed,
     multichain_counts,
     parse_graph,
@@ -29,6 +28,7 @@ from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT, matching_graph
 from oracles import (
     brute_force_minimal_covers,
     cover_rows,
+    hall_condition_holds,
     hilbert_function,
     longest_chain_cardinality,
     rank_by_minors,

@@ -13,17 +13,15 @@ from coverlattice import (
     enumerate_sublattices,
     format_report,
     graph_from_lattice,
-    monomial_string,
     multichain_counts,
     random_sublattice,
     rank_exact,
-    rank_mod,
     x_parts,
 )
 
 from coverlattice.algebra import _add3, _cover_columns, _rank_bits
 
-from oracles import cover_rows, hilbert_function, rank_by_minors
+from oracles import cover_rows, hilbert_function, rank_by_minors, rank_mod
 
 K22 = LabeledBipartiteGraph(2, frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}))
 MATCH2 = LabeledBipartiteGraph(2, frozenset({(1, 1), (2, 2)}))
@@ -34,17 +32,6 @@ def _pipeline(lg):
     covers = enumerate_minimal_covers(as_graph(lg))
     lat = CoverLattice(lg.n, x_parts(lg, covers))
     return covers, lat
-
-
-class TestMonomialString:
-    def test_examples(self):
-        assert monomial_string((1, 1, 0, 0)) == "x1*x2"
-        assert monomial_string((0, 0, 1, 1)) == "y1*y2"
-        assert monomial_string((1, 0, 0, 1)) == "x1*y2"
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            monomial_string((2, 0))
 
 
 def _rows(lat):

@@ -86,6 +86,20 @@ class TestCheck:
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "/nonexistent/file.txt"]) == 2
 
+    def test_cap_refused_before_bipartition(self, write, capsys, monkeypatch):
+        from coverlattice import pipeline
+
+        def no_bipartition(g):
+            raise AssertionError("bipartition ran on a graph over the vertex cap")
+
+        monkeypatch.setattr(pipeline, "bipartition", no_bipartition)
+        path = write("g.txt", "".join(f"{u} {v}\n" for u, v in matching_graph(13).edges))
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: 26 vertices exceeds the enumeration cap of 24; "
+            "raise max_vertices to override\n"
+        )
+
 
 class TestCovers:
     def test_lists_all(self, write, capsys):
@@ -117,9 +131,7 @@ class TestDim:
 
     def test_dot_on_twelve_edge_matching_takes_seconds(self, write, tmp_path, capsys):
         # the Boolean lattice of rank 12: 4096 elements, 12 * 2^11 Hasse edges
-        from coverlattice import serialize_graph
-
-        graph = write("g.txt", serialize_graph(matching_graph(12)))
+        graph = write("g.txt", "".join(f"{u} {v}\n" for u, v in matching_graph(12).edges))
         dot = tmp_path / "hasse.dot"
         start = time.perf_counter()
         assert main(["dim", graph, "--dot", str(dot)]) == 0
@@ -353,6 +365,22 @@ class TestParser:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["check", "from-lattice"])
+    def test_non_utf8_input_exits_2(self, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 2\n\xff 3\n")
+        done, _ = _run_capped("-m", "coverlattice.cli", command, str(path))
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"error: {path}: ")
+        assert "Traceback" not in done.stderr
+
+    def test_non_utf8_stdin_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1 2\n\xff 3\n")))
+        assert main(["check", "-"]) == 2
+        assert capsys.readouterr().err == (
+            "error: -: not UTF-8 text (invalid start byte at byte 4)\n"
+        )
+
     def test_inconsistency_maps_to_exit_1(self, write, capsys, monkeypatch):
         from coverlattice import InconsistencyError
         from coverlattice import cli as cli_module

@@ -9,10 +9,10 @@ from coverlattice import (
     as_graph,
     bipartition,
     enumerate_minimal_covers,
+    enumerate_sublattices,
     format_covers,
     graph_from_edges,
     graph_from_lattice,
-    hall_condition_holds,
     is_unmixed,
     parse_graph,
     perfect_matching,
@@ -22,7 +22,7 @@ from coverlattice import (
 )
 
 from conftest import matching_graph
-from oracles import brute_force_minimal_covers, random_graph
+from oracles import brute_force_minimal_covers, hall_condition_holds, random_graph
 
 
 def _sets(covers):
@@ -130,8 +130,6 @@ class TestRelabel:
         assert lg.edges == frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
         assert rel.x_source == (1, 3)
         assert rel.y_source == (2, 4)
-        assert rel.label_of(3) == ("x", 2)
-        assert rel.label_of(4) == ("y", 2)
         # the path 1-2-3-4, the four-cycle less 1-4: x1=1, x2=3, y1=2, y2=4
         path = parse_graph("1 2\n2 3\n3 4\n")
         lg, rel = relabel(path, bipartition(path), enumerate_minimal_covers(path))
@@ -157,23 +155,6 @@ class TestRelabel:
         covers = enumerate_minimal_covers(five_vertex_graph)
         with pytest.raises(CoverError, match="not unmixed"):
             relabel(five_vertex_graph, part, covers)
-
-    def test_rejects_bogus_matching(self, four_cycle, two_disjoint_edges):
-        part = bipartition(two_disjoint_edges)
-        covers = enumerate_minimal_covers(two_disjoint_edges)
-        with pytest.raises(CoverError, match="not an edge"):
-            relabel(two_disjoint_edges, part, covers, matching={1: 4, 3: 2})
-        part4 = bipartition(four_cycle)
-        covers4 = enumerate_minimal_covers(four_cycle)
-        with pytest.raises(CoverError, match="bijectively"):
-            relabel(four_cycle, part4, covers4, matching={1: 2, 3: 2})
-
-    def test_alternate_matching_still_valid(self, four_cycle):
-        part = bipartition(four_cycle)
-        covers = enumerate_minimal_covers(four_cycle)
-        lg, rel = relabel(four_cycle, part, covers, matching={1: 4, 3: 2})
-        assert lg.edges == frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
-        assert rel.y_source == (4, 2)
 
 
 class TestXParts:
@@ -257,28 +238,29 @@ class TestUnmixedLabeledInvariants:
             assert hall_condition_holds(lg)
 
     def test_relabeling_invariance(self):
-        """Rank and dimension quantities do not depend on the matching choice."""
-        from coverlattice import CoverLattice, dimension_report
+        """Every perfect matching of a labeled graph relabels it to the same edges.
 
-        g = graph_from_edges([(i, 3 + j) for i in (1, 2, 3) for j in (1, 2, 3)])
-        part = bipartition(g)
-        covers = enumerate_minimal_covers(g)
-        outcomes = set()
-        tried = 0
-        for perm in permutations(sorted(part.side_v)):
-            pairing = dict(zip(sorted(part.side_u), perm))
-            if not all((u, v) in g.edges for u, v in pairing.items()):
-                continue
-            tried += 1
-            lg, _ = relabel(g, part, covers, matching=pairing)
-            lcov = enumerate_minimal_covers(as_graph(lg))
-            lat = CoverLattice(lg.n, x_parts(lg, lcov))
-            rep = dimension_report(lg, lat)
-            outcomes.add(
-                (rep.rank_full, rep.rank_truncated, rep.lattice_rank, rep.dimension)
-            )
-        assert tried == 6  # complete bipartite side has 3! matchings
-        assert len(outcomes) == 1
+        A perfect matching pairs each x_i with some y_pi(i), so (i, pi(i)) is an
+        edge; naming y_pi(j) as y_j must give back the edge set, which is why
+        relabel may take any perfect matching.
+        """
+        lattices = with_alternatives = 0
+        for n in (1, 2, 3, 4):
+            points = range(1, n + 1)
+            for lat in enumerate_sublattices(n):
+                edges = graph_from_lattice(lat).edges
+                matchings = [
+                    pi
+                    for pi in permutations(points)
+                    if all((i, pi[i - 1]) in edges for i in points)
+                ]
+                for pi in matchings:
+                    renamed = {(i, j) for i in points for j in points if (i, pi[j - 1]) in edges}
+                    assert renamed == edges, (n, sorted(edges), pi)
+                lattices += 1
+                with_alternatives += len(matchings) > 1
+        assert lattices == 1 + 4 + 29 + 355
+        assert with_alternatives == 147
 
 
 def test_format_covers(four_cycle):

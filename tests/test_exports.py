@@ -21,3 +21,53 @@ def test_every_exported_name_resolves(module):
     assert len(exported) == len(set(exported)), f"{module}.__all__ repeats a name"
     missing = [name for name in exported if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names {missing}, which do not resolve"
+
+
+PUBLIC_NAMES = [
+    "Bipartition",
+    "ClosureCertificate",
+    "CoverError",
+    "CoverLattice",
+    "DEFAULT_MAX_VERTICES",
+    "DimensionReport",
+    "Graph",
+    "GraphAnalysis",
+    "GraphError",
+    "HasseDiagram",
+    "InconsistencyError",
+    "LabeledBipartiteGraph",
+    "LatticeError",
+    "LatticeVerification",
+    "Relabeling",
+    "analyze_graph",
+    "as_graph",
+    "bipartition",
+    "dimension_report",
+    "enumerate_minimal_covers",
+    "enumerate_sublattices",
+    "format_covers",
+    "format_lattice",
+    "format_report",
+    "graph_from_edges",
+    "graph_from_lattice",
+    "hasse",
+    "hasse_to_dot",
+    "is_sublattice",
+    "is_unmixed",
+    "multichain_counts",
+    "parse_graph",
+    "parse_labeled",
+    "parse_lattice",
+    "perfect_matching",
+    "random_sublattice",
+    "rank",
+    "rank_exact",
+    "relabel",
+    "serialize_labeled",
+    "verify_lattice",
+    "x_parts",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(coverlattice.__all__) == PUBLIC_NAMES
