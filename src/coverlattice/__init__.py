@@ -25,7 +25,6 @@ from .covers import (
     Relabeling,
     enumerate_minimal_covers,
     format_covers,
-    is_unmixed,
     perfect_matching,
     relabel,
     x_parts,
@@ -85,7 +84,6 @@ __all__ = [
     "hasse",
     "hasse_to_dot",
     "is_sublattice",
-    "is_unmixed",
     "multichain_counts",
     "parse_graph",
     "parse_labeled",

@@ -160,9 +160,9 @@ def dimension_report(lg: LabeledBipartiteGraph, lat: CoverLattice) -> DimensionR
     """Compute the report and verify the identities tying its fields together.
 
     lat is the cover lattice of lg. Required on every valid instance:
-    rank_full = rank_truncated + 1, rank_truncated = lattice rank,
-    dimension = lattice rank + 1, for a full lattice dimension = n + 1, and
-    the ranks over GF(2) and GF(3) equal rank_full. Any violation raises
+    rank_full = rank_truncated + 1, rank_truncated = lattice rank (so the
+    dimension, rank_full, is lattice rank + 1), and the ranks over GF(2) and
+    GF(3) equal rank_full. Any violation raises
     InconsistencyError with the whole instance attached; on genuine inputs
     that never happens, so a raise is a bug alarm worth keeping loud.
     """
@@ -185,10 +185,6 @@ def dimension_report(lg: LabeledBipartiteGraph, lat: CoverLattice) -> DimensionR
         problems.append(f"rank_full={rank_full} is not rank_truncated+1={rank_trunc + 1}")
     if rank_trunc != lattice_rank:
         problems.append(f"rank_truncated={rank_trunc} differs from lattice_rank={lattice_rank}")
-    if dimension != lattice_rank + 1:
-        problems.append(f"dimension={dimension} is not lattice_rank+1={lattice_rank + 1}")
-    if cm and dimension != lg.n + 1:
-        problems.append(f"full lattice but dimension={dimension} differs from n+1={lg.n + 1}")
     if mod2 != rank_full or mod3 != rank_full:
         problems.append(
             f"characteristic-p ranks {mod2} (p=2) and {mod3} (p=3) "

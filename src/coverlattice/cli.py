@@ -88,7 +88,7 @@ def _check_line(analysis: GraphAnalysis) -> str:
     tokens = [
         f"bipartite={_yn(analysis.partition is not None)}",
         f"unmixed={_yn(analysis.unmixed)}",
-        f"covers={len(analysis.covers)}",
+        f"covers={len(analysis.cover_sizes)}",
     ]
     if analysis.report is not None:
         tokens.append(f"cm={_yn(analysis.report.cohen_macaulay)}")
@@ -101,7 +101,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         payload = {
             "bipartite": analysis.partition is not None,
             "unmixed": analysis.unmixed,
-            "covers": len(analysis.covers),
+            "covers": len(analysis.cover_sizes),
             "cohen_macaulay": (
                 analysis.report.cohen_macaulay if analysis.report is not None else None
             ),
@@ -126,7 +126,7 @@ def _require_pipeline(analysis: GraphAnalysis) -> None:
     if analysis.partition is None:
         raise GraphError("graph is not bipartite")
     if not analysis.unmixed:
-        sizes = sorted({len(c) for c in analysis.covers})
+        sizes = sorted(set(analysis.cover_sizes))
         raise CoverError(f"graph is not unmixed: cover sizes {sizes}")
 
 

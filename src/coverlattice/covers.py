@@ -1,25 +1,24 @@
-"""Minimal vertex covers, unmixedness, and the matching-based normal form.
+"""Minimal vertex covers and the matching-based normal form.
 
 A minimal vertex cover is exactly the complement of a maximal independent
 set, so enumeration runs Bron-Kerbosch with pivoting over bit-mask vertex
-sets. Everything downstream assumes the deterministic cover order fixed
-here: ascending size, then lexicographic on the sorted members.
+sets (_cover_masks). enumerate_minimal_covers returns them as frozensets
+in the canonical order: ascending size, then lexicographic on the members.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .exceptions import CoverError
 from .graphs import Bipartition, Graph, LabeledBipartiteGraph
-from .lattice import _bits, _element_key, _mask_to_set, _to_mask
+from .lattice import _bits, _canonical, _mask_to_set, _to_mask
 
 __all__ = [
     "DEFAULT_MAX_VERTICES",
     "Relabeling",
     "enumerate_minimal_covers",
-    "is_unmixed",
     "perfect_matching",
     "relabel",
     "x_parts",
@@ -34,7 +33,12 @@ Cover = frozenset[int]
 def enumerate_minimal_covers(
     g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> tuple[Cover, ...]:
-    """All minimal vertex covers of g, deterministically ordered.
+    """All minimal vertex covers of g, in the canonical set order."""
+    return tuple(map(_mask_to_set, _canonical(_cover_masks(g, max_vertices), g.vertex_count)))
+
+
+def _cover_masks(g: Graph, max_vertices: int) -> list[int]:
+    """The minimal vertex covers of g as masks, in no fixed order.
 
     Enumerates maximal independent sets (maximal cliques of the complement,
     Bron-Kerbosch with a Tomita pivot) and complements them. Exponential in
@@ -68,14 +72,7 @@ def enumerate_minimal_covers(
             excluded |= bit
 
     expand(0, full, 0)
-    return tuple(sorted((_mask_to_set(full ^ s) for s in independent), key=_element_key))
-
-
-def is_unmixed(covers: Sequence[Cover]) -> bool:
-    """True when every minimal cover has the same cardinality."""
-    if not covers:
-        raise CoverError("empty cover family")
-    return len({len(c) for c in covers}) == 1
+    return [full ^ s for s in independent]
 
 
 def perfect_matching(g: Graph, part: Bipartition) -> dict[int, int] | None:
@@ -122,9 +119,7 @@ class Relabeling:
     y_source: tuple[int, ...]
 
 
-def relabel(
-    g: Graph, part: Bipartition, covers: Sequence[Cover]
-) -> tuple[LabeledBipartiteGraph, Relabeling]:
+def relabel(g: Graph, part: Bipartition) -> tuple[LabeledBipartiteGraph, Relabeling]:
     """Normalize an unmixed bipartite graph so that (i, i) is an edge for all i.
 
     side_u keeps its ascending order as x_1..x_n and the partner of the i-th
@@ -133,16 +128,9 @@ def relabel(
     i <= j (Villarreal 2007), and a perfect matching pairing each x_i with
     y_pi(i) has i <= pi(i) <= pi^2(i) <= ... <= i, so it only permutes y
     vertices within one class of the preorder. The choice shows only in
-    Relabeling.y_source.
+    Relabeling.y_source. The caller checks unmixedness; both sides of the
+    2-colouring are then minimal covers of one size, as every vertex has an edge.
     """
-    if not is_unmixed(covers):
-        sizes = sorted({len(c) for c in covers})
-        raise CoverError(f"graph is not unmixed: cover sizes {sizes}")
-    if len(part.side_u) != len(part.side_v):
-        raise CoverError("sides differ in size, so they cannot both be minimal covers")
-    family = set(covers)
-    if frozenset(part.side_u) not in family or frozenset(part.side_v) not in family:
-        raise CoverError("each side must itself be one of the minimal covers")
     matching = perfect_matching(g, part)
     if matching is None:
         raise CoverError(
@@ -168,24 +156,24 @@ def relabel(
     return labeled, relabeling
 
 
-def _x_masks(n: int, covers: Sequence[Cover]) -> list[int]:
-    """x_parts as masks, with its checks: bit i - 1 stands for x_i."""
+def _x_masks(n: int, masks: Iterable[int]) -> list[int]:
+    """x_parts on cover masks, with its checks: bit i - 1 stands for x_i."""
     full = (1 << n) - 1
     parts = []
-    for cover in covers:
-        if len(cover) != n:
+    for mask in masks:
+        if mask.bit_count() != n:
             raise CoverError(
-                f"cover {sorted(cover)} has size {len(cover)}, expected {n}: "
+                f"cover {sorted(_mask_to_set(mask))} has size {mask.bit_count()}, expected {n}: "
                 "graph is not unmixed-labeled"
             )
-        mask = _to_mask(cover)
         x, y = mask & full, mask >> n
         if x ^ y != full:
             bad = full & ~(x ^ y)
             i = (bad & -bad).bit_length()
             state = "both present" if x >> (i - 1) & 1 else "both absent"
             raise CoverError(
-                f"complementarity violated at pair {i} in cover {sorted(cover)} ({state})"
+                f"complementarity violated at pair {i} in cover "
+                f"{sorted(_mask_to_set(mask))} ({state})"
             )
         parts.append(x)
     return parts
@@ -200,7 +188,7 @@ def x_parts(
     y_j is vertex n+j). Each cover must pick exactly one of x_i, y_i per
     pair; a violation means lg was not an unmixed labeling and is an error.
     """
-    return tuple(map(_mask_to_set, _x_masks(lg.n, covers)))
+    return tuple(map(_mask_to_set, _x_masks(lg.n, map(_to_mask, covers))))
 
 
 def format_covers(covers: Sequence[Cover]) -> str:

@@ -1,15 +1,15 @@
 """Bounded sublattices of the subset lattice of {1..n}, and the package's bitmask format.
 
 A set of points or vertices is held as an int mask, bit i - 1 for member
-i; _bits, _to_mask, _mask_to_set and the canonical set order _element_key
-(size, then sorted members) are defined here once. By Birkhoff's theorem a
-bounded sublattice is the family of down-sets of one preorder on {1..n}:
-pred[j], the intersection of the members that contain j, holds the
-elements at or below j. CoverLattice accepts a family only if it equals
-the down-sets of its own preorder, and keeps the element masks and pred;
-producers that hold a preorder, such as a labeled graph's edges
-(_edge_preorder), build it with CoverLattice._from_preorder. The rank is
-the number of distinct pred[j], and the inverse graph writes pred out as edges.
+i, and becomes a frozenset only at the public API; _bits, _to_mask,
+_mask_to_set and the canonical set order _canonical are defined here once.
+By Birkhoff's theorem a bounded sublattice is the family of down-sets of
+one preorder on {1..n}: pred[j], the intersection of the members that
+contain j, holds the elements at or below j. CoverLattice accepts a family
+only if it equals the down-sets of its own preorder, and keeps the element
+masks and pred; producers that hold a preorder, such as a labeled graph's
+edges (_edge_preorder), build it with CoverLattice._from_preorder. The rank
+is the number of distinct pred[j], and the inverse graph writes pred out as edges.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exceptions import InconsistencyError, LatticeError
 from .graphs import LabeledBipartiteGraph
@@ -62,8 +63,10 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _element_key(e: frozenset[int]) -> tuple[int, tuple[int, ...]]:
-    return (len(e), tuple(sorted(e)))
+def _canonical(masks: Iterable[int], width: int) -> list[int]:
+    """By size, then the set holding the lowest differing member first: (len, sorted) order."""
+    full = (1 << width) - 1  # reversed, the complement's bit string has a 0 first at that member
+    return sorted(masks, key=lambda m: (m.bit_count(), f"{full ^ m:0{width}b}"[::-1]))
 
 
 def _set_str(e: frozenset[int] | None) -> str:
@@ -135,14 +138,14 @@ def _lattice_preorder(masks: set[int], n: int) -> list[int] | None:
     return pred if _downsets(pred, len(masks)) == masks else None
 
 
-def _element_masks(elements: Iterable[Iterable[int]], n: int) -> dict[frozenset[int], int]:
-    """Each distinct element with its mask; LatticeError if one is not a subset of 1..n."""
+def _element_masks(elements: Iterable[Iterable[int]], n: int) -> set[int]:
+    """The masks of the distinct elements; LatticeError if one is not a subset of 1..n."""
     distinct = set(map(frozenset, elements))
-    outside = [e for e in distinct if e and (min(e) < 1 or max(e) > n)]
+    outside = [sorted(e) for e in distinct if e and (min(e) < 1 or max(e) > n)]
     if outside:
-        e = min(outside, key=_element_key)
-        raise LatticeError(f"element {sorted(e)} is not a subset of 1..{n}")
-    return {e: _to_mask(e) for e in distinct}
+        e = min(outside, key=lambda members: (len(members), members))
+        raise LatticeError(f"element {e} is not a subset of 1..{n}")
+    return set(map(_to_mask, distinct))
 
 
 def is_sublattice(
@@ -153,57 +156,53 @@ def is_sublattice(
     Returns (True, None) or (False, certificate) where the certificate names
     the missing boundary element or a violating pair.
     """
-    mask_of = _element_masks(family, n)
-    ok = _lattice_preorder(set(mask_of.values()), n) is not None
-    return ok, None if ok else _certificate(set(mask_of), n)
+    masks = _element_masks(family, n)
+    ok = _lattice_preorder(masks, n) is not None
+    return ok, None if ok else _certificate(masks, n)
 
 
-def _certificate(elems: set[frozenset[int]], n: int) -> ClosureCertificate:
+def _certificate(masks: set[int], n: int) -> ClosureCertificate:
     """Name what a family that failed the preorder test lacks.
 
     A violating pair is the more informative certificate, so the pairwise
-    scan comes before the bounds. A failed family with no violating pair
-    and the empty set must lack the full set.
+    scan, in canonical order, comes before the bounds. A failed family with
+    no violating pair and the empty set must lack the full set.
     """
-    ordered = sorted(elems, key=_element_key)
+    ordered = _canonical(masks, n)
     for idx, a in enumerate(ordered):
         for b in ordered[idx + 1 :]:
-            u = a | b
-            if u not in elems:
-                return ClosureCertificate("union", a, b, u)
-            i = a & b
-            if i not in elems:
-                return ClosureCertificate("intersection", a, b, i)
-    if frozenset() not in elems:
+            for kind, m in (("union", a | b), ("intersection", a & b)):
+                if m not in masks:
+                    return ClosureCertificate(kind, *map(_mask_to_set, (a, b, m)))
+    if 0 not in masks:
         return ClosureCertificate("missing-bottom", missing=frozenset())
     return ClosureCertificate("missing-top", missing=frozenset(range(1, n + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoverLattice:
     """A bounded sublattice of the subset lattice of {1..n}.
 
-    Elements are deduplicated and canonically ordered by (size, sorted
-    members); construction fails loudly if the family is not closed.
-    masks[k] is elements[k] as a bitmask (bit i - 1 for member i), and
-    pred[j] is the mask of the points at or below point j + 1 in the
-    preorder; both are computed once, by the validation.
+    Elements are deduplicated; construction fails loudly if the family is
+    not closed. masks holds them as bitmasks in canonical order, and pred[j]
+    is the mask of the points at or below point j + 1 in the preorder; both
+    are computed once, by the validation. elements, the frozensets of
+    masks, is built on first read.
     """
 
     n: int
-    elements: tuple[frozenset[int], ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    pred: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...]
+    pred: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, elements: Iterable[Iterable[int]]) -> None:
+        if n < 1:
             raise LatticeError("need n >= 1")
-        mask_of = _element_masks(self.elements, self.n)
-        pred = _lattice_preorder(set(mask_of.values()), self.n)
+        masks = _element_masks(elements, n)
+        pred = _lattice_preorder(masks, n)
         if pred is None:
-            cert = _certificate(set(mask_of), self.n)
+            cert = _certificate(masks, n)
             raise LatticeError(f"not a bounded sublattice: {cert}", certificate=cert)
-        self._hold(mask_of, pred)
+        self._hold(n, masks, pred)
 
     @classmethod
     def _from_preorder(cls, n: int, pred: list[int]) -> CoverLattice:
@@ -218,15 +217,18 @@ class CoverLattice:
                 details={"n": n, "pred": [sorted(_mask_to_set(p)) for p in pred]},
             )
         lat = object.__new__(cls)
-        object.__setattr__(lat, "n", n)
-        lat._hold({_mask_to_set(m): m for m in masks}, pred)
+        lat._hold(n, masks, pred)
         return lat
 
-    def _hold(self, mask_of: dict[frozenset[int], int], pred: list[int]) -> None:
-        elements = tuple(sorted(mask_of, key=_element_key))
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "masks", tuple(map(mask_of.__getitem__, elements)))
+    def _hold(self, n: int, masks: set[int], pred: list[int]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", tuple(_canonical(masks, n)))
         object.__setattr__(self, "pred", tuple(pred))
+
+    @cached_property
+    def elements(self) -> tuple[frozenset[int], ...]:
+        """The elements as frozensets, in the order of masks."""
+        return tuple(map(_mask_to_set, self.masks))
 
 
 @dataclass(frozen=True)
@@ -268,24 +270,13 @@ def graph_from_lattice(lat: CoverLattice) -> LabeledBipartiteGraph:
     """The unique labeled bipartite graph whose cover x-parts reproduce lat.
 
     Edge rule: (i, j) is present iff every element containing j also
-    contains i, that is iff i lies in pred[j]. Each call reads the relation
-    back from the graph's edges and checks that its down-sets are the input
-    elements; a mismatch aborts loudly, so a returned graph is certified
-    correct for its instance.
+    contains i, that is iff i lies in pred[j]. The edges are pred written
+    out, and CoverLattice holds pred only after checking that its down-sets
+    are exactly the elements, so that check certifies the returned graph:
+    the cover lattice of its edges is lat.
     """
-    n = lat.n
     edges = frozenset((i + 1, j + 1) for j, p in enumerate(lat.pred) for i in _bits(p))
-    lg = LabeledBipartiteGraph(n, edges)
-    if _downsets(_edge_preorder(lg), len(lat.masks)) != set(lat.masks):
-        raise InconsistencyError(
-            "reconstructed cover lattice differs from the input lattice",
-            details={
-                "n": n,
-                "input_elements": [sorted(e) for e in lat.elements],
-                "edges": sorted(lg.edges),
-            },
-        )
-    return lg
+    return LabeledBipartiteGraph(lat.n, edges)
 
 
 def enumerate_sublattices(n: int) -> Iterator[CoverLattice]:
@@ -327,8 +318,8 @@ def format_lattice(lat: CoverLattice) -> str:
     Elements are comma-separated sorted indices; the empty set prints as {}.
     """
     lines = [f"n={lat.n}"]
-    for e in lat.elements:
-        lines.append(",".join(map(str, sorted(e))) if e else "{}")
+    for m in lat.masks:
+        lines.append(",".join(str(i + 1) for i in _bits(m)) if m else "{}")
     return "\n".join(lines) + "\n"
 
 

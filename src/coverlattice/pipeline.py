@@ -5,18 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import DimensionReport, dimension_report, multichain_counts
-from .covers import (
-    DEFAULT_MAX_VERTICES,
-    Cover,
-    Relabeling,
-    _x_masks,
-    enumerate_minimal_covers,
-    is_unmixed,
-    relabel,
-)
+from .covers import DEFAULT_MAX_VERTICES, Relabeling, _cover_masks, _x_masks, relabel
 from .exceptions import InconsistencyError
 from .graphs import Bipartition, Graph, LabeledBipartiteGraph, as_graph, bipartition
-from .lattice import CoverLattice, _edge_preorder, _element_key, _mask_to_set, graph_from_lattice
+from .lattice import CoverLattice, _canonical, _edge_preorder, _mask_to_set, graph_from_lattice
 
 __all__ = ["GraphAnalysis", "LatticeVerification", "analyze_graph", "verify_lattice"]
 
@@ -31,7 +23,7 @@ class GraphAnalysis:
 
     graph: Graph
     partition: Bipartition | None
-    covers: tuple[Cover, ...]
+    cover_sizes: tuple[int, ...]  # of the minimal covers of graph, ascending
     unmixed: bool
     labeled: LabeledBipartiteGraph | None = None
     relabeling: Relabeling | None = None
@@ -46,20 +38,20 @@ def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAn
     preorder with one down-set per minimal cover, else InconsistencyError.
     """
     # the cover enumeration enforces the vertex cap, so it runs first
-    covers = enumerate_minimal_covers(g, max_vertices=max_vertices)
+    sizes = tuple(sorted(m.bit_count() for m in _cover_masks(g, max_vertices)))
     part = bipartition(g)
-    unmixed = is_unmixed(covers)
+    unmixed = sizes[0] == sizes[-1]
     if part is None or not unmixed:
-        return GraphAnalysis(g, part, covers, unmixed)
-    labeled, relabeling = relabel(g, part, covers)
+        return GraphAnalysis(g, part, sizes, unmixed)
+    labeled, relabeling = relabel(g, part)
     lat = CoverLattice._from_preorder(labeled.n, _edge_preorder(labeled))
-    if len(lat.masks) != len(covers):
+    if len(lat.masks) != len(sizes):
         raise InconsistencyError(
-            f"lattice of the labeled edges has {len(lat.masks)} elements, covers={len(covers)}",
+            f"lattice of the labeled edges has {len(lat.masks)} elements, covers={len(sizes)}",
             details={"n": labeled.n, "edges": sorted(labeled.edges)},
         )
     report = dimension_report(labeled, lat)
-    return GraphAnalysis(g, part, covers, unmixed, labeled, relabeling, lat, report)
+    return GraphAnalysis(g, part, sizes, unmixed, labeled, relabeling, lat, report)
 
 
 @dataclass(frozen=True)
@@ -73,29 +65,27 @@ class LatticeVerification:
     growth_skipped: bool = False  # always False; kept for bench/tracing.py, which reads it
 
 
-def verify_lattice(
-    lat: CoverLattice, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> LatticeVerification:
+def verify_lattice(lat: CoverLattice) -> LatticeVerification:
     """Drive one lattice instance through the whole verification pipeline.
 
-    graph_from_lattice certifies its output on down-sets of the preorder; on
+    CoverLattice's down-set check certifies graph_from_lattice's output; on
     top of that this enumerates the graph's minimal covers (Bron-Kerbosch)
     and checks that their x-parts reproduce the lattice, an independent
-    route back from the graph. It then computes the dimension report, which
-    ties the preorder rank to the exact matrix ranks, and checks the
-    dimension against the Hilbert function of the cover semigroup ring: the
-    multichain count M(t) of the lattice, whose degree must be rank_full - 1.
-    Any violation raises InconsistencyError.
+    route back from the graph, capped at its 2n vertices (it has |L| covers).
+    It then computes the dimension report, which ties the preorder rank to
+    the exact matrix ranks, and checks the dimension against the Hilbert
+    function of the cover semigroup ring: the multichain count M(t) of the
+    lattice, whose degree must be rank_full - 1. Any violation raises
+    InconsistencyError.
     """
     lg = graph_from_lattice(lat)
-    covers = enumerate_minimal_covers(as_graph(lg), max_vertices=max_vertices)
-    parts = set(_x_masks(lg.n, covers))
+    parts = set(_x_masks(lg.n, _cover_masks(as_graph(lg), 2 * lg.n)))
     if parts != set(lat.masks):
         raise InconsistencyError(
             "cover projection does not reproduce the lattice",
             details={
                 "expected": [sorted(e) for e in lat.elements],
-                "actual": [sorted(e) for e in sorted(map(_mask_to_set, parts), key=_element_key)],
+                "actual": [sorted(_mask_to_set(m)) for m in _canonical(parts, lg.n)],
             },
         )
     report = dimension_report(lg, lat)

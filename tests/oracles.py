@@ -1,17 +1,17 @@
 """Brute-force reference implementations the fast paths are checked against.
 
 Everything here trades efficiency for obviousness and shares no code with
-the package internals: covers come from filtering every vertex subset, rank
-comes from cofactor-expansion minors and, over GF(p), also from plain
-elimination mod p, Hall's condition comes from listing every subset of the
-x side, odd cycles come from adjacency-matrix powers, chain length comes
-from dynamic programming over the full subset order, the sublattice a
-family generates comes from adding pairwise unions and intersections until
-nothing changes, the preorder of a lattice comes from intersecting the
-members that contain each point, Hasse diagrams come from testing every
-triple of elements, cover matrix rows come from the enumerated covers, and
-the Hilbert function of the cover semigroup ring comes from collecting
-every distinct sum of t rows.
+the package internals: covers come from filtering every vertex subset and
+unmixedness from their sizes, rank comes from cofactor-expansion minors
+and, over GF(p), also from plain elimination mod p, Hall's condition comes
+from listing every subset of the x side, odd cycles come from
+adjacency-matrix powers, chain length comes from dynamic programming over
+the full subset order, the sublattice a family generates comes from adding
+pairwise unions and intersections until nothing changes, the preorder of a
+lattice comes from intersecting the members that contain each point, Hasse
+diagrams come from testing every triple of elements, cover matrix rows come
+from the enumerated covers, and the Hilbert function of the cover semigroup
+ring comes from collecting every distinct sum of t rows.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from math import isqrt
 
-from coverlattice import Graph, LabeledBipartiteGraph, graph_from_edges
+from coverlattice import CoverError, Graph, LabeledBipartiteGraph, graph_from_edges
 
 
 def brute_force_minimal_covers(g: Graph) -> tuple[frozenset[int], ...]:
@@ -51,6 +51,13 @@ def brute_force_minimal_covers(g: Graph) -> tuple[frozenset[int], ...]:
     out = [frozenset(i + 1 for i in range(v) if c >> i & 1) for c in minimal]
     out.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return tuple(out)
+
+
+def is_unmixed(covers) -> bool:
+    """True when every minimal cover has the same cardinality."""
+    if not covers:
+        raise CoverError("empty cover family")
+    return len({len(c) for c in covers}) == 1
 
 
 def _det(matrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:

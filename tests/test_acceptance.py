@@ -15,7 +15,6 @@ from coverlattice import (
     as_graph,
     enumerate_minimal_covers,
     enumerate_sublattices,
-    is_unmixed,
     multichain_counts,
     parse_graph,
     random_sublattice,
@@ -30,6 +29,7 @@ from oracles import (
     cover_rows,
     hall_condition_holds,
     hilbert_function,
+    is_unmixed,
     longest_chain_cardinality,
     rank_by_minors,
 )

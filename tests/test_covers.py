@@ -13,7 +13,6 @@ from coverlattice import (
     format_covers,
     graph_from_edges,
     graph_from_lattice,
-    is_unmixed,
     parse_graph,
     perfect_matching,
     random_sublattice,
@@ -22,7 +21,7 @@ from coverlattice import (
 )
 
 from conftest import matching_graph
-from oracles import brute_force_minimal_covers, hall_condition_holds, random_graph
+from oracles import brute_force_minimal_covers, hall_condition_holds, is_unmixed, random_graph
 
 
 def _sets(covers):
@@ -123,52 +122,40 @@ class TestMatching:
 
 class TestRelabel:
     def test_four_cycle_becomes_complete_bipartite(self, four_cycle):
-        part = bipartition(four_cycle)
-        covers = enumerate_minimal_covers(four_cycle)
-        lg, rel = relabel(four_cycle, part, covers)
+        lg, rel = relabel(four_cycle, bipartition(four_cycle))
         assert lg.n == 2
         assert lg.edges == frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
         assert rel.x_source == (1, 3)
         assert rel.y_source == (2, 4)
         # the path 1-2-3-4, the four-cycle less 1-4: x1=1, x2=3, y1=2, y2=4
         path = parse_graph("1 2\n2 3\n3 4\n")
-        lg, rel = relabel(path, bipartition(path), enumerate_minimal_covers(path))
+        lg, rel = relabel(path, bipartition(path))
         assert (rel.x_source, rel.y_source) == ((1, 3), (2, 4))
         assert lg.edges == frozenset({(1, 1), (2, 1), (2, 2)})
 
     def test_single_edge(self, single_edge):
-        lg, _ = relabel(
-            single_edge, bipartition(single_edge), enumerate_minimal_covers(single_edge)
-        )
+        lg, _ = relabel(single_edge, bipartition(single_edge))
         assert lg.n == 1 and lg.edges == frozenset({(1, 1)})
 
     def test_two_disjoint_edges(self, two_disjoint_edges):
-        lg, _ = relabel(
-            two_disjoint_edges,
-            bipartition(two_disjoint_edges),
-            enumerate_minimal_covers(two_disjoint_edges),
-        )
+        lg, _ = relabel(two_disjoint_edges, bipartition(two_disjoint_edges))
         assert lg.n == 2 and lg.edges == frozenset({(1, 1), (2, 2)})
 
     def test_rejects_mixed_graph(self, five_vertex_graph):
+        # sides {1,3,5} and {2,4}: the mixed graph has no perfect matching
         part = bipartition(five_vertex_graph)
-        covers = enumerate_minimal_covers(five_vertex_graph)
-        with pytest.raises(CoverError, match="not unmixed"):
-            relabel(five_vertex_graph, part, covers)
+        with pytest.raises(CoverError, match="no perfect matching exists"):
+            relabel(five_vertex_graph, part)
 
 
 class TestXParts:
     def test_complete_bipartite(self, four_cycle):
-        part = bipartition(four_cycle)
-        covers = enumerate_minimal_covers(four_cycle)
-        lg, _ = relabel(four_cycle, part, covers)
+        lg, _ = relabel(four_cycle, bipartition(four_cycle))
         parts = x_parts(lg, enumerate_minimal_covers(as_graph(lg)))
         assert set(parts) == {frozenset(), frozenset({1, 2})}
 
     def test_matching_gives_boolean_family(self, two_disjoint_edges):
-        part = bipartition(two_disjoint_edges)
-        covers = enumerate_minimal_covers(two_disjoint_edges)
-        lg, _ = relabel(two_disjoint_edges, part, covers)
+        lg, _ = relabel(two_disjoint_edges, bipartition(two_disjoint_edges))
         parts = x_parts(lg, enumerate_minimal_covers(as_graph(lg)))
         assert set(parts) == {
             frozenset(),
@@ -178,9 +165,7 @@ class TestXParts:
         }
 
     def test_single_edge(self, single_edge):
-        lg, _ = relabel(
-            single_edge, bipartition(single_edge), enumerate_minimal_covers(single_edge)
-        )
+        lg, _ = relabel(single_edge, bipartition(single_edge))
         parts = x_parts(lg, enumerate_minimal_covers(as_graph(lg)))
         assert set(parts) == {frozenset(), frozenset({1})}
 

@@ -53,7 +53,6 @@ PUBLIC_NAMES = [
     "hasse",
     "hasse_to_dot",
     "is_sublattice",
-    "is_unmixed",
     "multichain_counts",
     "parse_graph",
     "parse_labeled",

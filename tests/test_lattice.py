@@ -18,7 +18,7 @@ from coverlattice import (
     rank,
 )
 
-from coverlattice.lattice import MAX_LATTICE_N
+from coverlattice.lattice import MAX_LATTICE_N, _canonical
 
 from oracles import (
     brute_force_closure,
@@ -97,10 +97,33 @@ class TestConstruction:
             )
         assert accepted == preorders  # OEIS A000798, the preorders on n labeled points
 
-    def test_constructor_keeps_the_callers_frozensets(self):
-        sets = (frozenset(), frozenset({1}), frozenset({1, 2}))
-        built = CoverLattice(2, sets)
-        assert all(a is b for a, b in zip(built.elements, sets))
+    def test_public_and_preorder_constructions_are_equal(self):
+        # {} <= {1} <= {1,2,3}, {1,2}, {1,3}: 2 and 3 both sit above 1
+        public = lat(3, (), {1}, {1, 2}, {1, 3}, {1, 2, 3})
+        built = CoverLattice._from_preorder(3, [0b001, 0b011, 0b101])
+        assert public == built and hash(public) == hash(built)
+        assert public.pred == built.pred
+        assert public != lat(3, (), {1}, {1, 2}, {1, 2, 3})
+        assert "elements" not in vars(public) and "elements" not in vars(built)
+
+    def test_elements_are_the_masks_built_on_first_read(self):
+        built = random_sublattice(6, 5, 123)
+        assert "elements" not in vars(built)
+        assert [sum(1 << (i - 1) for i in e) for e in built.elements] == list(built.masks)
+        assert vars(built)["elements"] is built.elements
+
+    @given(st.integers(1, 26).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=40))
+    ))
+    @settings(deadline=None)
+    def test_canonical_is_size_then_sorted_members(self, case):
+        width, masks = case
+
+        def members(m):
+            return [i + 1 for i in range(width) if m >> i & 1]
+
+        expected = sorted(masks, key=lambda m: (len(members(m)), members(m)))
+        assert _canonical(masks, width) == expected
 
     def test_range_error_names_the_first_element_in_canonical_order(self):
         with pytest.raises(LatticeError, match=r"element \[3\] is not a subset of 1..2"):
@@ -283,6 +306,13 @@ class TestRandomSublattice:
         a = random_sublattice(6, 5, 123)
         b = random_sublattice(6, 5, 123)
         assert a == b
+
+    def test_format_builds_no_frozensets(self):
+        built = random_sublattice(10, 6, 5)
+        text = format_lattice(built)
+        assert "elements" not in vars(built)
+        lines = ["{}" if not e else ",".join(map(str, sorted(e))) for e in built.elements]
+        assert text == "\n".join([f"n={built.n}", *lines]) + "\n"
 
     @given(st.integers(0, 500), st.integers(0, 8))
     @settings(deadline=None)

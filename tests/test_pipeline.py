@@ -24,12 +24,15 @@ class TestAnalyzeGraph:
 
     def test_mixed_graph_stops_before_relabel(self, five_vertex_graph):
         analysis = analyze_graph(five_vertex_graph)
+        assert analysis.cover_sizes == (2, 3, 3)
         assert analysis.partition is not None
         assert not analysis.unmixed
         assert analysis.labeled is None and analysis.report is None
 
     def test_four_cycle_full_run(self, four_cycle):
         analysis = analyze_graph(four_cycle)
+        assert analysis.cover_sizes == (2, 2)
+        assert "elements" not in vars(analysis.lattice)
         assert analysis.labeled is not None
         assert analysis.relabeling.x_source == (1, 3)
         assert [sorted(e) for e in analysis.lattice.elements] == [[], [1, 2]]
@@ -91,14 +94,15 @@ class TestVerifyLattice:
     def test_lost_cover_raises(self, monkeypatch, lost):
         # losing the all-x or the all-y cover leaves x-parts that are no lattice
         from coverlattice import pipeline
+        from coverlattice.lattice import _canonical
 
-        enumerate_all = pipeline.enumerate_minimal_covers
+        enumerate_all = pipeline._cover_masks
 
         def drop_one(g, max_vertices):
-            covers = enumerate_all(g, max_vertices=max_vertices)
-            return covers[:lost] + covers[lost + 1 :]
+            masks = _canonical(enumerate_all(g, max_vertices), g.vertex_count)
+            return masks[:lost] + masks[lost + 1 :]
 
-        monkeypatch.setattr(pipeline, "enumerate_minimal_covers", drop_one)
+        monkeypatch.setattr(pipeline, "_cover_masks", drop_one)
         boolean2 = CoverLattice(
             2, (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}))
         )
@@ -110,6 +114,12 @@ class TestVerifyLattice:
         actual = info.value.details["actual"]
         assert len(actual) == 3 and set(map(tuple, actual)) < {(), (1,), (2,), (1, 2)}
         assert actual == sorted(actual, key=lambda e: (len(e), e))
+
+    def test_enumeration_cap_is_the_graphs_vertex_count(self):
+        # the 13-point chain: its graph has 26 vertices, over the default cap of 24
+        chain = CoverLattice(13, (frozenset(), frozenset({1}), frozenset(range(1, 14))))
+        outcome = verify_lattice(chain)
+        assert outcome.report.rank_full == 3
 
     def test_labeled_graph_matches_lattice(self):
         lat = CoverLattice(2, (frozenset(), frozenset({1}), frozenset({1, 2})))
@@ -124,15 +134,17 @@ class TestAnalyzeGraphAlarms:
     @pytest.fixture
     def lose(self, monkeypatch):
         from coverlattice import pipeline
+        from coverlattice.lattice import _canonical, _mask_to_set
 
-        enumerate_all = pipeline.enumerate_minimal_covers
+        enumerate_all = pipeline._cover_masks
 
         def install(lost):
+            # lost(k, cover) sees the k-th cover in canonical order, as a set
             def lossy(g, max_vertices):
-                covers = enumerate_all(g, max_vertices=max_vertices)
-                return tuple(c for k, c in enumerate(covers) if not lost(k, c))
+                masks = _canonical(enumerate_all(g, max_vertices), g.vertex_count)
+                return [m for k, m in enumerate(masks) if not lost(k, _mask_to_set(m))]
 
-            monkeypatch.setattr(pipeline, "enumerate_minimal_covers", lossy)
+            monkeypatch.setattr(pipeline, "_cover_masks", lossy)
 
         return install
 
