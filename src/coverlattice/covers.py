@@ -4,6 +4,9 @@ A minimal vertex cover is exactly the complement of a maximal independent
 set, so enumeration runs Bron-Kerbosch with pivoting over bit-mask vertex
 sets (_cover_masks). enumerate_minimal_covers returns them as frozensets
 in the canonical order: ascending size, then lexicographic on the members.
+Bron-Kerbosch serves the covers command, verify and the graphs that are not
+unmixed bipartite: the pipeline reads an unmixed bipartite graph's lattice
+off its labeled edges and lists no cover of it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,15 @@ def enumerate_minimal_covers(
     return tuple(map(_mask_to_set, _canonical(_cover_masks(g, max_vertices), g.vertex_count)))
 
 
+def _check_cap(g: Graph, max_vertices: int) -> None:
+    """CoverError when g has more vertices than the enumeration cap."""
+    if g.vertex_count > max_vertices:
+        raise CoverError(
+            f"{g.vertex_count} vertices exceeds the enumeration cap of {max_vertices}; "
+            "raise max_vertices to override"
+        )
+
+
 def _cover_masks(g: Graph, max_vertices: int) -> list[int]:
     """The minimal vertex covers of g as masks, in no fixed order.
 
@@ -44,12 +56,8 @@ def _cover_masks(g: Graph, max_vertices: int) -> list[int]:
     Bron-Kerbosch with a Tomita pivot) and complements them. Exponential in
     the worst case, hence the vertex cap.
     """
+    _check_cap(g, max_vertices)
     v = g.vertex_count
-    if v > max_vertices:
-        raise CoverError(
-            f"{v} vertices exceeds the enumeration cap of {max_vertices}; "
-            "raise max_vertices to override"
-        )
     nbr = [0] * v
     for a, b in g.edges:
         nbr[a - 1] |= 1 << (b - 1)
@@ -128,7 +136,8 @@ def relabel(g: Graph, part: Bipartition) -> tuple[LabeledBipartiteGraph, Relabel
     i <= j (Villarreal 2007), and a perfect matching pairing each x_i with
     y_pi(i) has i <= pi(i) <= pi^2(i) <= ... <= i, so it only permutes y
     vertices within one class of the preorder. The choice shows only in
-    Relabeling.y_source. The caller checks unmixedness; both sides of the
+    Relabeling.y_source. CoverError when no perfect matching exists, which
+    cannot happen for an unmixed bipartite graph: both sides of the
     2-colouring are then minimal covers of one size, as every vertex has an edge.
     """
     matching = perfect_matching(g, part)
@@ -137,6 +146,17 @@ def relabel(g: Graph, part: Bipartition) -> tuple[LabeledBipartiteGraph, Relabel
             "inconsistent input: no perfect matching exists, "
             "which cannot happen for an unmixed bipartite graph"
         )
+    return _relabel(g, part, matching)
+
+
+def _relabel(
+    g: Graph, part: Bipartition, matching: dict[int, int]
+) -> tuple[LabeledBipartiteGraph, Relabeling]:
+    """relabel with the perfect matching of part that its caller already found.
+
+    Any bipartite graph with a perfect matching relabels; its labeled edges
+    are a preorder exactly when it is unmixed.
+    """
     xs = sorted(part.side_u)
     x_index = {v: i for i, v in enumerate(xs, start=1)}
     y_index = {matching[v]: i for i, v in enumerate(xs, start=1)}

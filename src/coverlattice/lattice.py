@@ -8,7 +8,8 @@ one preorder on {1..n}: pred[j], the intersection of the members that
 contain j, holds the elements at or below j. CoverLattice accepts a family
 only if it equals the down-sets of its own preorder, and keeps the element
 masks and pred; producers that hold a preorder, such as a labeled graph's
-edges (_edge_preorder), build it with CoverLattice._from_preorder. The rank
+edges (_edge_preorder), build it with CoverLattice._from_preorder, which
+tests the relation with _is_preorder before it lists a down-set. The rank
 is the number of distinct pred[j], and the inverse graph writes pred out as edges.
 """
 
@@ -122,6 +123,14 @@ def _downsets(pred: list[int], limit: int) -> set[int] | None:
     return found
 
 
+def _is_preorder(pred: list[int]) -> bool:
+    """Whether pred is reflexive and transitive, in O(n^2) bit operations.
+
+    pred[j] must hold j, and pred[i] must lie inside pred[j] for every i in pred[j].
+    """
+    return all(p >> j & 1 and all(pred[i] & ~p == 0 for i in _bits(p)) for j, p in enumerate(pred))
+
+
 def _edge_preorder(lg: LabeledBipartiteGraph) -> list[int]:
     """pred[j - 1]: the mask of the i with x_i y_j an edge, the relation i <= j."""
     pred = [0] * lg.n
@@ -208,14 +217,16 @@ class CoverLattice:
     def _from_preorder(cls, n: int, pred: list[int]) -> CoverLattice:
         """The down-sets of pred; InconsistencyError unless pred is a preorder.
 
-        Their own preorder is pred exactly when pred is reflexive and transitive.
+        Their own preorder is pred exactly when pred is reflexive and
+        transitive, so _is_preorder, tested before any down-set is built, is
+        the whole check.
         """
-        masks = _downsets(pred, 1 << n)
-        if _preorder(masks, n) != pred:
+        if not _is_preorder(pred):
             raise InconsistencyError(
                 "relation is not a preorder (reflexive and transitive)",
                 details={"n": n, "pred": [sorted(_mask_to_set(p)) for p in pred]},
             )
+        masks = _downsets(pred, 1 << n)
         lat = object.__new__(cls)
         lat._hold(n, masks, pred)
         return lat

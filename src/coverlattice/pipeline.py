@@ -5,10 +5,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import DimensionReport, dimension_report, multichain_counts
-from .covers import DEFAULT_MAX_VERTICES, Relabeling, _cover_masks, _x_masks, relabel
+from .covers import (
+    DEFAULT_MAX_VERTICES,
+    Relabeling,
+    _check_cap,
+    _cover_masks,
+    _relabel,
+    _x_masks,
+    perfect_matching,
+)
 from .exceptions import InconsistencyError
 from .graphs import Bipartition, Graph, LabeledBipartiteGraph, as_graph, bipartition
-from .lattice import CoverLattice, _canonical, _edge_preorder, _mask_to_set, graph_from_lattice
+from .lattice import (
+    CoverLattice,
+    _canonical,
+    _edge_preorder,
+    _is_preorder,
+    _mask_to_set,
+    graph_from_lattice,
+)
 
 __all__ = ["GraphAnalysis", "LatticeVerification", "analyze_graph", "verify_lattice"]
 
@@ -18,7 +33,10 @@ class GraphAnalysis:
     """Everything derivable from one input graph.
 
     The lattice-and-dimension fields stay None unless the graph is both
-    bipartite and unmixed; the lattice elements are the x-parts of the covers of labeled.
+    bipartite and unmixed; the lattice elements are the x-parts of the
+    covers of labeled. On such a graph the covers are never listed: there
+    are |L| of them, each of n vertices, and cover_sizes says so. Only on
+    the other graphs does Bron-Kerbosch find the sizes.
     """
 
     graph: Graph
@@ -32,26 +50,39 @@ class GraphAnalysis:
 
 
 def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAnalysis:
-    """Bipartition and covers always; the full dimension pipeline when possible.
+    """Bipartition always; the lattice from the edges, or the covers from Bron-Kerbosch.
 
-    The lattice is the down-sets of the labeled edge relation (Villarreal): a
-    preorder with one down-set per minimal cover, else InconsistencyError.
+    A bipartite graph with a perfect matching is relabeled through it, and
+    it is unmixed iff the labeled edge relation "x_i y_j is an edge" is a
+    preorder i <= j (Villarreal). Then its lattice is the down-sets of that
+    preorder (Birkhoff), one per minimal cover, so no cover is enumerated.
+    Every other graph (mixed, not bipartite, or without a perfect matching)
+    gets its covers from Bron-Kerbosch, as check prints their count and
+    counting the minimal covers of a mixed graph is #P-hard. Covers of one
+    size there, on a graph whose labeled edges are no preorder, contradict
+    Villarreal and raise InconsistencyError.
     """
-    # the cover enumeration enforces the vertex cap, so it runs first
-    sizes = tuple(sorted(m.bit_count() for m in _cover_masks(g, max_vertices)))
+    _check_cap(g, max_vertices)  # the cap is refused before any other work
     part = bipartition(g)
+    matching = None if part is None else perfect_matching(g, part)
+    labeled = None
+    if matching is not None:
+        labeled, relabeling = _relabel(g, part, matching)
+        pred = _edge_preorder(labeled)
+        if _is_preorder(pred):
+            lat = CoverLattice._from_preorder(labeled.n, pred)
+            report = dimension_report(labeled, lat)
+            sizes = (labeled.n,) * len(lat.masks)
+            return GraphAnalysis(g, part, sizes, True, labeled, relabeling, lat, report)
+    sizes = tuple(sorted(m.bit_count() for m in _cover_masks(g, max_vertices)))
     unmixed = sizes[0] == sizes[-1]
-    if part is None or not unmixed:
-        return GraphAnalysis(g, part, sizes, unmixed)
-    labeled, relabeling = relabel(g, part)
-    lat = CoverLattice._from_preorder(labeled.n, _edge_preorder(labeled))
-    if len(lat.masks) != len(sizes):
+    if labeled is not None and unmixed:
         raise InconsistencyError(
-            f"lattice of the labeled edges has {len(lat.masks)} elements, covers={len(sizes)}",
-            details={"n": labeled.n, "edges": sorted(labeled.edges)},
+            f"all {len(sizes)} minimal covers have size {sizes[0]}, "
+            "but the labeled edges are not a preorder",
+            details={"n": labeled.n, "edges": sorted(labeled.edges), "stage": "analyze_graph"},
         )
-    report = dimension_report(labeled, lat)
-    return GraphAnalysis(g, part, sizes, unmixed, labeled, relabeling, lat, report)
+    return GraphAnalysis(g, part, sizes, unmixed)
 
 
 @dataclass(frozen=True)

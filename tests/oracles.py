@@ -11,7 +11,10 @@ pairwise unions and intersections until nothing changes, the preorder of a
 lattice comes from intersecting the members that contain each point, Hasse
 diagrams come from testing every triple of elements, cover matrix rows come
 from the enumerated covers, and the Hilbert function of the cover semigroup
-ring comes from collecting every distinct sum of t rows.
+ring comes from collecting every distinct sum of t rows. The one oracle
+built on the package, analyze_graph_by_covers, redoes analyze_graph from a
+full Bron-Kerbosch listing, the route the package takes only on graphs that
+are not unmixed bipartite.
 """
 
 from __future__ import annotations
@@ -19,7 +22,19 @@ from __future__ import annotations
 import itertools
 from math import isqrt
 
-from coverlattice import CoverError, Graph, LabeledBipartiteGraph, graph_from_edges
+from coverlattice import (
+    DEFAULT_MAX_VERTICES,
+    CoverError,
+    CoverLattice,
+    Graph,
+    GraphAnalysis,
+    LabeledBipartiteGraph,
+    bipartition,
+    dimension_report,
+    enumerate_minimal_covers,
+    graph_from_edges,
+    relabel,
+)
 
 
 def brute_force_minimal_covers(g: Graph) -> tuple[frozenset[int], ...]:
@@ -225,3 +240,23 @@ def random_graph(rng, max_vertices: int = 14) -> Graph:
     used = sorted({w for e in edges for w in e})
     compact = {w: i for i, w in enumerate(used, start=1)}
     return graph_from_edges([(compact[a], compact[b]) for a, b in edges])
+
+
+def analyze_graph_by_covers(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAnalysis:
+    """analyze_graph from the minimal covers of every graph, never from the edge preorder.
+
+    Unmixedness comes from the cover sizes, and on an unmixed bipartite graph
+    the lattice is the family of the covers' x-parts under the relabeling,
+    validated by the public CoverLattice constructor.
+    """
+    covers = enumerate_minimal_covers(g, max_vertices)
+    sizes = tuple(len(c) for c in covers)  # the canonical order is by size first
+    part = bipartition(g)
+    unmixed = is_unmixed(covers)
+    if part is None or not unmixed:
+        return GraphAnalysis(g, part, sizes, unmixed)
+    labeled, relabeling = relabel(g, part)
+    parts = [{i for i, v in enumerate(relabeling.x_source, start=1) if v in c} for c in covers]
+    lat = CoverLattice(labeled.n, parts)
+    report = dimension_report(labeled, lat)
+    return GraphAnalysis(g, part, sizes, unmixed, labeled, relabeling, lat, report)

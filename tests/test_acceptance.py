@@ -303,3 +303,23 @@ def test_analyze_graph_carries_covers_through_the_relabeling(exhaustive_sweep, r
         )
         checked += 1
     assert checked == 389 + 1200
+
+
+def test_analyze_graph_equals_the_cover_route(exhaustive_sweep, random_sweep):
+    """analyze_graph reads an unmixed bipartite graph off its edge preorder; the
+    oracle lists the covers of every graph. Their analyses are equal field for
+    field on the sweep graphs and on 2000 random graphs."""
+    from oracles import analyze_graph_by_covers, random_graph
+
+    graphs = [as_graph(outcome.labeled) for _, outcome in exhaustive_sweep[0] + random_sweep[0]]
+    rng = random.Random(20261019)
+    graphs += [random_graph(rng) for _ in range(2000)]
+    mismatches, lattices = [], 0
+    for g in graphs:
+        analysis = analyze_graph(g)
+        if analysis != analyze_graph_by_covers(g):
+            mismatches.append(sorted(g.edges))
+        lattices += analysis.lattice is not None
+    assert not mismatches, mismatches[:5]
+    assert len(graphs) == 389 + 1200 + 2000
+    assert lattices > 389 + 1200 + 200  # a tenth of the random graphs reach the lattice

@@ -18,7 +18,7 @@ from coverlattice import (
     rank,
 )
 
-from coverlattice.lattice import MAX_LATTICE_N, _canonical
+from coverlattice.lattice import MAX_LATTICE_N, _canonical, _downsets, _is_preorder, _preorder
 
 from oracles import (
     brute_force_closure,
@@ -96,6 +96,36 @@ class TestConstruction:
                 public.pred,
             )
         assert accepted == preorders  # OEIS A000798, the preorders on n labeled points
+
+    def test_preorder_entry_refuses_a_relation_before_listing_down_sets(self):
+        # identity plus 1 <= 2 <= 3 without 1 <= 3: the down-sets of the
+        # relation would number about 2^59
+        pred = [1 << j for j in range(60)]
+        pred[1] |= 0b001
+        pred[2] |= 0b010
+        with pytest.raises(InconsistencyError, match="relation is not a preorder") as info:
+            CoverLattice._from_preorder(60, pred)
+        assert info.value.details["n"] == 60
+        assert info.value.details["pred"][:3] == [[1], [1, 2], [2, 3]]
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+                st.booleans(),
+            )
+        )
+    )
+    @settings(deadline=None)
+    def test_is_preorder_is_the_down_set_round_trip(self, case):
+        n, pred, close = case
+        if close:  # half the draws become preorders: add j <= j, then close transitively
+            pred = [p | 1 << j for j, p in enumerate(pred)]
+            for k in range(n):
+                pred = [p | pred[k] if p >> k & 1 else p for p in pred]
+            assert _is_preorder(pred)
+        assert _is_preorder(pred) == (_preorder(_downsets(pred, 1 << n), n) == pred)
 
     def test_public_and_preorder_constructions_are_equal(self):
         # {} <= {1} <= {1,2,3}, {1,2}, {1,3}: 2 and 3 both sit above 1

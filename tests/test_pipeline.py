@@ -12,7 +12,8 @@ from coverlattice import (
     verify_lattice,
 )
 
-from oracles import longest_chain_cardinality
+from conftest import FOUR_CYCLE_TEXT, matching_graph
+from oracles import analyze_graph_by_covers, longest_chain_cardinality
 
 
 class TestAnalyzeGraph:
@@ -129,7 +130,7 @@ class TestVerifyLattice:
 
 
 class TestAnalyzeGraphAlarms:
-    """The lattice read off the labeled edges checks the cover enumeration."""
+    """Bron-Kerbosch on a bipartite graph with a perfect matching checks the preorder test."""
 
     @pytest.fixture
     def lose(self, monkeypatch):
@@ -155,24 +156,59 @@ class TestAnalyzeGraphAlarms:
         path.write_text(text)
         return main(["dim", str(path)])
 
-    def test_lost_cover_fails_the_count(self, lose, tmp_path, capsys):
-        # the 2-edge matching less {1,4}: three covers, all of size 2, so
-        # still unmixed, but the labeled edges give the four-element lattice
-        lose(lambda k, c: k == 1)
-        text = "1 2\n3 4\n"
-        with pytest.raises(InconsistencyError, match="has 4 elements, covers=3") as info:
-            analyze_graph(parse_graph(text))
-        assert info.value.details == {"n": 2, "edges": [(1, 1), (2, 2)]}
-        assert self._dim_exit_code(tmp_path, text) == 1
-        assert "INCONSISTENCY: lattice of the labeled edges has 4" in capsys.readouterr().err
-
     def test_lost_large_cover_fails_the_preorder(self, lose, tmp_path, capsys):
-        # the path 1-...-6 is mixed only through {1,3,4,6}; without it every
-        # cover has size 3, but 3 <= 2 <= 1 and not 3 <= 1 in the labeled edges
+        # the path 1-...-6 is mixed only through {1,3,4,6}: its labeled edges
+        # have 3 <= 2 <= 1 and not 3 <= 1, so Bron-Kerbosch runs, and without
+        # that cover it finds every cover of size 3
         lose(lambda k, c: c == frozenset({1, 3, 4, 6}))
         text = "1 2\n2 3\n3 4\n4 5\n5 6\n"
-        with pytest.raises(InconsistencyError, match="not a preorder") as info:
+        message = "all 4 minimal covers have size 3, but the labeled edges are not a preorder"
+        with pytest.raises(InconsistencyError, match=message) as info:
             analyze_graph(parse_graph(text))
-        assert info.value.details == {"n": 3, "pred": [[1, 2], [2, 3], [3]]}
+        assert info.value.details == {
+            "n": 3,
+            "edges": [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)],
+            "stage": "analyze_graph",
+        }
         assert self._dim_exit_code(tmp_path, text) == 1
-        assert "INCONSISTENCY: relation is not a preorder" in capsys.readouterr().err
+        assert f"INCONSISTENCY: {message}" in capsys.readouterr().err
+
+
+class TestPreorderRoute:
+    """check, lattice and dim of an unmixed bipartite graph list no cover."""
+
+    @pytest.mark.parametrize(
+        "edges, check_line",
+        [
+            (FOUR_CYCLE_TEXT, "bipartite=yes unmixed=yes covers=2 cm=no\n"),
+            (
+                "".join(f"{u} {v}\n" for u, v in matching_graph(12).edges),
+                "bipartite=yes unmixed=yes covers=4096 cm=yes\n",
+            ),
+        ],
+    )
+    def test_same_output_without_bron_kerbosch(
+        self, monkeypatch, tmp_path, capsys, edges, check_line
+    ):
+        from coverlattice import cli, pipeline
+
+        path = tmp_path / "g.txt"
+        path.write_text(edges)
+
+        def outputs():
+            out = []
+            for command in ("check", "lattice", "dim"):
+                assert cli.main([command, str(path)]) == 0
+                out.append(capsys.readouterr().out)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "analyze_graph", analyze_graph_by_covers)
+            expected = outputs()
+        assert expected[0] == check_line
+
+        def no_covers(g, max_vertices):
+            raise AssertionError("Bron-Kerbosch ran on an unmixed bipartite graph")
+
+        monkeypatch.setattr(pipeline, "_cover_masks", no_covers)
+        assert outputs() == expected
