@@ -202,6 +202,7 @@ def dimension_report(lg: LabeledBipartiteGraph, lat: CoverLattice) -> DimensionR
                 "lattice_rank": lattice_rank,
                 "rank_full_mod2": mod2,
                 "rank_full_mod3": mod3,
+                "stage": "dimension_report",
             },
         )
     return DimensionReport(

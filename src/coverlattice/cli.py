@@ -84,11 +84,15 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _cover_count(analysis: GraphAnalysis) -> int:
+    return sum(count for _, count in analysis.cover_size_counts)
+
+
 def _check_line(analysis: GraphAnalysis) -> str:
     tokens = [
         f"bipartite={_yn(analysis.partition is not None)}",
         f"unmixed={_yn(analysis.unmixed)}",
-        f"covers={len(analysis.cover_sizes)}",
+        f"covers={_cover_count(analysis)}",
     ]
     if analysis.report is not None:
         tokens.append(f"cm={_yn(analysis.report.cohen_macaulay)}")
@@ -101,7 +105,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         payload = {
             "bipartite": analysis.partition is not None,
             "unmixed": analysis.unmixed,
-            "covers": len(analysis.cover_sizes),
+            "covers": _cover_count(analysis),
             "cohen_macaulay": (
                 analysis.report.cohen_macaulay if analysis.report is not None else None
             ),
@@ -126,7 +130,7 @@ def _require_pipeline(analysis: GraphAnalysis) -> None:
     if analysis.partition is None:
         raise GraphError("graph is not bipartite")
     if not analysis.unmixed:
-        sizes = sorted(set(analysis.cover_sizes))
+        sizes = [size for size, _ in analysis.cover_size_counts]
         raise CoverError(f"graph is not unmixed: cover sizes {sizes}")
 
 

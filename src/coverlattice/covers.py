@@ -1,12 +1,15 @@
 """Minimal vertex covers and the matching-based normal form.
 
 A minimal vertex cover is exactly the complement of a maximal independent
-set, so enumeration runs Bron-Kerbosch with pivoting over bit-mask vertex
-sets (_cover_masks). enumerate_minimal_covers returns them as frozensets
-in the canonical order: ascending size, then lexicographic on the members.
-Bron-Kerbosch serves the covers command, verify and the graphs that are not
-unmixed bipartite: the pipeline reads an unmixed bipartite graph's lattice
-off its labeled edges and lists no cover of it.
+set, so one search, Bron-Kerbosch with pivoting over bit-mask vertex sets
+(_bron_kerbosch), finds them. _cover_masks runs it on the whole graph for
+the covers command and verify, which list every cover;
+enumerate_minimal_covers returns them as frozensets in the canonical
+order: ascending size, then lexicographic on the members. For check of a
+graph that is not unmixed bipartite, _cover_size_counts runs it once per
+connected component and keeps only a (size, count) histogram. The
+pipeline reads an unmixed bipartite graph's lattice off its labeled edges
+and runs no search on it.
 """
 
 from __future__ import annotations
@@ -52,19 +55,68 @@ def _check_cap(g: Graph, max_vertices: int) -> None:
 def _cover_masks(g: Graph, max_vertices: int) -> list[int]:
     """The minimal vertex covers of g as masks, in no fixed order.
 
-    Enumerates maximal independent sets (maximal cliques of the complement,
-    Bron-Kerbosch with a Tomita pivot) and complements them. Exponential in
-    the worst case, hence the vertex cap.
+    The complements of the maximal independent sets of the whole graph.
+    Exponential in the worst case, hence the vertex cap.
     """
     _check_cap(g, max_vertices)
-    v = g.vertex_count
-    nbr = [0] * v
+    full = (1 << g.vertex_count) - 1
+    return [full ^ s for s in _bron_kerbosch(_non_neighbors(_neighbors(g)), full)]
+
+
+def _cover_size_counts(g: Graph, max_vertices: int) -> tuple[tuple[int, int], ...]:
+    """(size, count) of the minimal vertex covers of g, ascending by size.
+
+    A minimal cover of a disjoint union is the union of one minimal cover
+    per connected component, so Bron-Kerbosch runs on each component alone
+    and the histogram is the convolution of theirs: the work is a sum over
+    the components where listing the covers would cost their product.
+    """
+    _check_cap(g, max_vertices)
+    nbr = _neighbors(g)
+    non_nbr = _non_neighbors(nbr)
+    counts = {0: 1}
+    seen = 0
+    for root in range(g.vertex_count):
+        if seen >> root & 1:
+            continue
+        component, frontier = 0, 1 << root
+        while frontier:
+            component |= frontier
+            reach = 0
+            for i in _bits(frontier):
+                reach |= nbr[i]
+            frontier = reach & ~component
+        seen |= component
+        convolved: dict[int, int] = {}
+        for s in _bron_kerbosch(non_nbr, component):
+            k = component.bit_count() - s.bit_count()  # this cover's size in the component
+            for size, count in counts.items():
+                convolved[size + k] = convolved.get(size + k, 0) + count
+        counts = convolved
+    return tuple(sorted(counts.items()))
+
+
+def _neighbors(g: Graph) -> list[int]:
+    """nbr[i]: the neighbors of vertex i + 1 as a mask, bit j for vertex j + 1."""
+    nbr = [0] * g.vertex_count
     for a, b in g.edges:
         nbr[a - 1] |= 1 << (b - 1)
         nbr[b - 1] |= 1 << (a - 1)
-    full = (1 << v) - 1
-    # non_nbr[i]: vertices that can extend an independent set containing i
-    non_nbr = [full & ~nbr[i] & ~(1 << i) for i in range(v)]
+    return nbr
+
+
+def _non_neighbors(nbr: list[int]) -> list[int]:
+    """non_nbr[i]: the vertices that can extend an independent set containing i."""
+    full = (1 << len(nbr)) - 1
+    return [full & ~m & ~(1 << i) for i, m in enumerate(nbr)]
+
+
+def _bron_kerbosch(non_nbr: list[int], within: int) -> list[int]:
+    """The maximal independent sets of the subgraph induced on within, as masks.
+
+    The maximal cliques of the complement graph, by Bron-Kerbosch with a
+    Tomita pivot. The one search behind every cover enumeration.
+    """
     independent: list[int] = []
 
     def expand(chosen: int, candidates: int, excluded: int) -> None:
@@ -79,8 +131,8 @@ def _cover_masks(g: Graph, max_vertices: int) -> list[int]:
             candidates &= ~bit
             excluded |= bit
 
-    expand(0, full, 0)
-    return [full ^ s for s in independent]
+    expand(0, within, 0)
+    return independent
 
 
 def perfect_matching(g: Graph, part: Bipartition) -> dict[int, int] | None:

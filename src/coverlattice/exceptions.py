@@ -25,7 +25,8 @@ class InconsistencyError(RuntimeError):
 
     This is the package alarm bell: on valid input it never fires unless some
     component is wrong, so it carries the whole offending instance in
-    ``details`` for reproduction.
+    ``details`` for reproduction, and ``details["stage"]`` names the check
+    that fired.
     """
 
     def __init__(self, message, details=None):

@@ -224,7 +224,11 @@ class CoverLattice:
         if not _is_preorder(pred):
             raise InconsistencyError(
                 "relation is not a preorder (reflexive and transitive)",
-                details={"n": n, "pred": [sorted(_mask_to_set(p)) for p in pred]},
+                details={
+                    "n": n,
+                    "pred": [sorted(_mask_to_set(p)) for p in pred],
+                    "stage": "from_preorder",
+                },
             )
         masks = _downsets(pred, 1 << n)
         lat = object.__new__(cls)

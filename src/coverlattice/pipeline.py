@@ -10,6 +10,7 @@ from .covers import (
     Relabeling,
     _check_cap,
     _cover_masks,
+    _cover_size_counts,
     _relabel,
     _x_masks,
     perfect_matching,
@@ -34,14 +35,16 @@ class GraphAnalysis:
 
     The lattice-and-dimension fields stay None unless the graph is both
     bipartite and unmixed; the lattice elements are the x-parts of the
-    covers of labeled. On such a graph the covers are never listed: there
-    are |L| of them, each of n vertices, and cover_sizes says so. Only on
-    the other graphs does Bron-Kerbosch find the sizes.
+    covers of labeled. cover_size_counts holds (size, count) pairs of the
+    minimal covers of graph, ascending by size; no cover is kept. On an
+    unmixed bipartite graph it is ((n, |L|),), read off the lattice. Only on
+    the other graphs does Bron-Kerbosch find it, one connected component
+    at a time.
     """
 
     graph: Graph
     partition: Bipartition | None
-    cover_sizes: tuple[int, ...]  # of the minimal covers of graph, ascending
+    cover_size_counts: tuple[tuple[int, int], ...]
     unmixed: bool
     labeled: LabeledBipartiteGraph | None = None
     relabeling: Relabeling | None = None
@@ -57,10 +60,12 @@ def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAn
     preorder i <= j (Villarreal). Then its lattice is the down-sets of that
     preorder (Birkhoff), one per minimal cover, so no cover is enumerated.
     Every other graph (mixed, not bipartite, or without a perfect matching)
-    gets its covers from Bron-Kerbosch, as check prints their count and
-    counting the minimal covers of a mixed graph is #P-hard. Covers of one
-    size there, on a graph whose labeled edges are no preorder, contradict
-    Villarreal and raise InconsistencyError.
+    gets its cover sizes from Bron-Kerbosch, as check prints their count and
+    counting the minimal covers of a mixed graph is #P-hard. The search runs
+    on each connected component alone and the size histograms convolve,
+    since a minimal cover of a disjoint union is one minimal cover per
+    component. Covers of one size there, on a graph whose labeled edges are
+    no preorder, contradict Villarreal and raise InconsistencyError.
     """
     _check_cap(g, max_vertices)  # the cap is refused before any other work
     part = bipartition(g)
@@ -72,17 +77,18 @@ def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAn
         if _is_preorder(pred):
             lat = CoverLattice._from_preorder(labeled.n, pred)
             report = dimension_report(labeled, lat)
-            sizes = (labeled.n,) * len(lat.masks)
-            return GraphAnalysis(g, part, sizes, True, labeled, relabeling, lat, report)
-    sizes = tuple(sorted(m.bit_count() for m in _cover_masks(g, max_vertices)))
-    unmixed = sizes[0] == sizes[-1]
+            counts = ((labeled.n, len(lat.masks)),)
+            return GraphAnalysis(g, part, counts, True, labeled, relabeling, lat, report)
+    counts = _cover_size_counts(g, max_vertices)
+    unmixed = len(counts) == 1
     if labeled is not None and unmixed:
+        ((size, count),) = counts
         raise InconsistencyError(
-            f"all {len(sizes)} minimal covers have size {sizes[0]}, "
+            f"all {count} minimal covers have size {size}, "
             "but the labeled edges are not a preorder",
             details={"n": labeled.n, "edges": sorted(labeled.edges), "stage": "analyze_graph"},
         )
-    return GraphAnalysis(g, part, sizes, unmixed)
+    return GraphAnalysis(g, part, counts, unmixed)
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,7 @@ def verify_lattice(lat: CoverLattice) -> LatticeVerification:
             details={
                 "expected": [sorted(e) for e in lat.elements],
                 "actual": [sorted(_mask_to_set(m)) for m in _canonical(parts, lg.n)],
+                "stage": "cover_projection",
             },
         )
     report = dimension_report(lg, lat)
@@ -138,6 +145,7 @@ def verify_lattice(lat: CoverLattice) -> LatticeVerification:
                 "lattice": [sorted(e) for e in lat.elements],
                 "multichains": multichains,
                 "strict_chains": chains,
+                "stage": "multichain",
             },
         )
     return LatticeVerification(lat, lg, report, growth)

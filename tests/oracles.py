@@ -13,13 +13,15 @@ diagrams come from testing every triple of elements, cover matrix rows come
 from the enumerated covers, and the Hilbert function of the cover semigroup
 ring comes from collecting every distinct sum of t rows. The one oracle
 built on the package, analyze_graph_by_covers, redoes analyze_graph from a
-full Bron-Kerbosch listing, the route the package takes only on graphs that
-are not unmixed bipartite.
+full Bron-Kerbosch listing of the whole graph, with no split into connected
+components: the package reads unmixed bipartite graphs off their edges and
+runs Bron-Kerbosch per component on the others.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import isqrt
 
 from coverlattice import (
@@ -242,21 +244,31 @@ def random_graph(rng, max_vertices: int = 14) -> Graph:
     return graph_from_edges([(compact[a], compact[b]) for a, b in edges])
 
 
+def disjoint_union(graphs) -> Graph:
+    """The graphs side by side, each one's vertices shifted past the previous ones."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(a + offset, b + offset) for a, b in g.edges]
+        offset += g.vertex_count
+    return graph_from_edges(edges)
+
+
 def analyze_graph_by_covers(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAnalysis:
     """analyze_graph from the minimal covers of every graph, never from the edge preorder.
 
-    Unmixedness comes from the cover sizes, and on an unmixed bipartite graph
-    the lattice is the family of the covers' x-parts under the relabeling,
+    The (size, count) histogram counts the whole-graph listing, unmixedness
+    comes from the cover sizes, and on an unmixed bipartite graph the
+    lattice is the family of the covers' x-parts under the relabeling,
     validated by the public CoverLattice constructor.
     """
     covers = enumerate_minimal_covers(g, max_vertices)
-    sizes = tuple(len(c) for c in covers)  # the canonical order is by size first
+    counts = tuple(sorted(Counter(len(c) for c in covers).items()))
     part = bipartition(g)
     unmixed = is_unmixed(covers)
     if part is None or not unmixed:
-        return GraphAnalysis(g, part, sizes, unmixed)
+        return GraphAnalysis(g, part, counts, unmixed)
     labeled, relabeling = relabel(g, part)
     parts = [{i for i, v in enumerate(relabeling.x_source, start=1) if v in c} for c in covers]
     lat = CoverLattice(labeled.n, parts)
     report = dimension_report(labeled, lat)
-    return GraphAnalysis(g, part, sizes, unmixed, labeled, relabeling, lat, report)
+    return GraphAnalysis(g, part, counts, unmixed, labeled, relabeling, lat, report)

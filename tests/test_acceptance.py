@@ -17,6 +17,7 @@ from coverlattice import (
     enumerate_sublattices,
     multichain_counts,
     parse_graph,
+    perfect_matching,
     random_sublattice,
     rank_exact,
     verify_lattice,
@@ -306,20 +307,38 @@ def test_analyze_graph_carries_covers_through_the_relabeling(exhaustive_sweep, r
 
 
 def test_analyze_graph_equals_the_cover_route(exhaustive_sweep, random_sweep):
-    """analyze_graph reads an unmixed bipartite graph off its edge preorder; the
-    oracle lists the covers of every graph. Their analyses are equal field for
-    field on the sweep graphs and on 2000 random graphs."""
-    from oracles import analyze_graph_by_covers, random_graph
+    """analyze_graph reads an unmixed bipartite graph off its edge preorder and
+    counts the covers of any other graph per connected component; the oracle
+    lists the covers of every whole graph. Their analyses are equal field for
+    field on the sweep graphs, on 2000 random graphs and on 400 disjoint
+    unions of two or three of them."""
+    from oracles import analyze_graph_by_covers, disjoint_union, random_graph
 
-    graphs = [as_graph(outcome.labeled) for _, outcome in exhaustive_sweep[0] + random_sweep[0]]
+    sweep = [as_graph(outcome.labeled) for _, outcome in exhaustive_sweep[0] + random_sweep[0]]
     rng = random.Random(20261019)
-    graphs += [random_graph(rng) for _ in range(2000)]
-    mismatches, lattices = [], 0
-    for g in graphs:
+    graphs = sweep + [random_graph(rng) for _ in range(2000)]
+    # components of at most 8 vertices keep the oracle's whole-graph listing small
+    pool = sweep[:389] + [random_graph(rng, 8) for _ in range(400)]
+    unions = [disjoint_union(rng.sample(pool, rng.randint(2, 3))) for _ in range(400)]
+    mismatches, lattices, kinds = [], 0, set()
+    for k, g in enumerate(graphs + unions):
         analysis = analyze_graph(g)
         if analysis != analyze_graph_by_covers(g):
             mismatches.append(sorted(g.edges))
         lattices += analysis.lattice is not None
+        part = analysis.partition
+        if k >= len(graphs):
+            matched = part is not None and perfect_matching(g, part) is not None
+            kinds.add((analysis.unmixed, part is not None, matched))
     assert not mismatches, mismatches[:5]
     assert len(graphs) == 389 + 1200 + 2000
     assert lattices > 389 + 1200 + 200  # a tenth of the random graphs reach the lattice
+    # (unmixed, bipartite, perfect matching): the unions take every possible
+    # combination; an unmixed bipartite graph always has a perfect matching
+    assert kinds == {
+        (True, True, True),
+        (True, False, False),
+        (False, True, True),
+        (False, True, False),
+        (False, False, False),
+    }

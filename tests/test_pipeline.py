@@ -1,4 +1,7 @@
+import ast
 import random
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +9,7 @@ from coverlattice import (
     CoverLattice,
     InconsistencyError,
     analyze_graph,
+    graph_from_lattice,
     parse_graph,
     random_sublattice,
     rank,
@@ -14,6 +18,19 @@ from coverlattice import (
 
 from conftest import FOUR_CYCLE_TEXT, matching_graph
 from oracles import analyze_graph_by_covers, longest_chain_cardinality
+
+
+def _lose_covers(monkeypatch, lost):
+    """Bron-Kerbosch, every search of a component included, loses the cover lost."""
+    from coverlattice import covers
+    from coverlattice.lattice import _to_mask
+
+    search, lost_mask = covers._bron_kerbosch, _to_mask(lost)
+
+    def lossy(non_nbr, within):
+        return [s for s in search(non_nbr, within) if within ^ s != lost_mask]
+
+    monkeypatch.setattr(covers, "_bron_kerbosch", lossy)
 
 
 class TestAnalyzeGraph:
@@ -25,14 +42,14 @@ class TestAnalyzeGraph:
 
     def test_mixed_graph_stops_before_relabel(self, five_vertex_graph):
         analysis = analyze_graph(five_vertex_graph)
-        assert analysis.cover_sizes == (2, 3, 3)
+        assert analysis.cover_size_counts == ((2, 1), (3, 2))
         assert analysis.partition is not None
         assert not analysis.unmixed
         assert analysis.labeled is None and analysis.report is None
 
     def test_four_cycle_full_run(self, four_cycle):
         analysis = analyze_graph(four_cycle)
-        assert analysis.cover_sizes == (2, 2)
+        assert analysis.cover_size_counts == ((2, 2),)
         assert "elements" not in vars(analysis.lattice)
         assert analysis.labeled is not None
         assert analysis.relabeling.x_source == (1, 3)
@@ -47,6 +64,29 @@ class TestAnalyzeGraph:
         assert analysis.report is not None
         assert analysis.report.n == 3
         assert analysis.report.dimension == analysis.report.lattice_rank + 1
+
+    def test_disjoint_paths_are_counted_per_component(self, monkeypatch, tmp_path, capsys):
+        # 20 disjoint paths a-b-c have 2^20 minimal covers, {b} or {a, c} from
+        # each path; Bron-Kerbosch lists the 2 covers of each path alone
+        from coverlattice import cli, covers
+
+        search, listed = covers._bron_kerbosch, []
+
+        def counted(non_nbr, within):
+            found = search(non_nbr, within)
+            listed.append(len(found))
+            return found
+
+        monkeypatch.setattr(covers, "_bron_kerbosch", counted)
+        text = "".join(f"{3 * i + 1} {3 * i + 2}\n{3 * i + 2} {3 * i + 3}\n" for i in range(20))
+        analysis = analyze_graph(parse_graph(text), max_vertices=60)
+        assert analysis.cover_size_counts == tuple((20 + k, comb(20, k)) for k in range(21))
+        assert listed == [2] * 20
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        assert cli.main(["check", str(path), "--max-vertices", "60"]) == 0
+        assert capsys.readouterr().out == "bipartite=yes unmixed=no covers=1048576\n"
+        assert listed == [2] * 40
 
 
 class TestVerifyLattice:
@@ -132,23 +172,6 @@ class TestVerifyLattice:
 class TestAnalyzeGraphAlarms:
     """Bron-Kerbosch on a bipartite graph with a perfect matching checks the preorder test."""
 
-    @pytest.fixture
-    def lose(self, monkeypatch):
-        from coverlattice import pipeline
-        from coverlattice.lattice import _canonical, _mask_to_set
-
-        enumerate_all = pipeline._cover_masks
-
-        def install(lost):
-            # lost(k, cover) sees the k-th cover in canonical order, as a set
-            def lossy(g, max_vertices):
-                masks = _canonical(enumerate_all(g, max_vertices), g.vertex_count)
-                return [m for k, m in enumerate(masks) if not lost(k, _mask_to_set(m))]
-
-            monkeypatch.setattr(pipeline, "_cover_masks", lossy)
-
-        return install
-
     def _dim_exit_code(self, tmp_path, text):
         from coverlattice.cli import main
 
@@ -156,11 +179,11 @@ class TestAnalyzeGraphAlarms:
         path.write_text(text)
         return main(["dim", str(path)])
 
-    def test_lost_large_cover_fails_the_preorder(self, lose, tmp_path, capsys):
+    def test_lost_large_cover_fails_the_preorder(self, monkeypatch, tmp_path, capsys):
         # the path 1-...-6 is mixed only through {1,3,4,6}: its labeled edges
         # have 3 <= 2 <= 1 and not 3 <= 1, so Bron-Kerbosch runs, and without
         # that cover it finds every cover of size 3
-        lose(lambda k, c: c == frozenset({1, 3, 4, 6}))
+        _lose_covers(monkeypatch, frozenset({1, 3, 4, 6}))
         text = "1 2\n2 3\n3 4\n4 5\n5 6\n"
         message = "all 4 minimal covers have size 3, but the labeled edges are not a preorder"
         with pytest.raises(InconsistencyError, match=message) as info:
@@ -190,7 +213,7 @@ class TestPreorderRoute:
     def test_same_output_without_bron_kerbosch(
         self, monkeypatch, tmp_path, capsys, edges, check_line
     ):
-        from coverlattice import cli, pipeline
+        from coverlattice import cli, covers
 
         path = tmp_path / "g.txt"
         path.write_text(edges)
@@ -207,8 +230,66 @@ class TestPreorderRoute:
             expected = outputs()
         assert expected[0] == check_line
 
-        def no_covers(g, max_vertices):
+        def no_search(non_nbr, within):
             raise AssertionError("Bron-Kerbosch ran on an unmixed bipartite graph")
 
-        monkeypatch.setattr(pipeline, "_cover_masks", no_covers)
+        monkeypatch.setattr(covers, "_bron_kerbosch", no_search)
         assert outputs() == expected
+
+
+class TestAlarmStages:
+    """Every InconsistencyError names the step that raised it in details["stage"]."""
+
+    STAGES = (
+        "analyze_graph",
+        "dimension_report",
+        "from_preorder",
+        "cover_projection",
+        "multichain",
+    )
+    BOOLEAN1 = CoverLattice(1, (frozenset(), frozenset({1})))
+
+    def _analyze_graph(self, monkeypatch):
+        _lose_covers(monkeypatch, frozenset({1, 3, 4, 6}))
+        analyze_graph(parse_graph("1 2\n2 3\n3 4\n4 5\n5 6\n"))
+
+    def _dimension_report(self, monkeypatch):
+        from coverlattice import algebra
+
+        monkeypatch.setattr(algebra, "rank", lambda lat: 0)  # the true rank is 1
+        algebra.dimension_report(graph_from_lattice(self.BOOLEAN1), self.BOOLEAN1)
+
+    def _from_preorder(self, monkeypatch):
+        CoverLattice._from_preorder(3, [0b001, 0b011, 0b110])  # 1 <= 2 <= 3, not 1 <= 3
+
+    def _cover_projection(self, monkeypatch):
+        from coverlattice import pipeline
+
+        monkeypatch.setattr(pipeline, "_cover_masks", lambda g, max_vertices: [])
+        verify_lattice(self.BOOLEAN1)
+
+    def _multichain(self, monkeypatch):
+        from coverlattice import pipeline
+
+        monkeypatch.setattr(pipeline, "multichain_counts", lambda lat, levels: [1] * levels)
+        verify_lattice(self.BOOLEAN1)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_alarm_names_its_stage(self, monkeypatch, stage):
+        with pytest.raises(InconsistencyError) as info:
+            getattr(self, f"_{stage}")(monkeypatch)
+        assert info.value.details["stage"] == stage
+
+    def test_every_raise_is_one_of_the_stages(self):
+        # each InconsistencyError(...) in the package passes a literal details["stage"]
+        import coverlattice
+
+        stages = []
+        for path in sorted(Path(coverlattice.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if getattr(getattr(node, "func", None), "id", "") == "InconsistencyError":
+                    details = next(k.value for k in node.keywords if k.arg == "details")
+                    keys = [getattr(k, "value", None) for k in details.keys]
+                    assert "stage" in keys, f"{path.name}:{node.lineno} names no stage"
+                    stages.append(details.values[keys.index("stage")].value)
+        assert sorted(stages) == sorted(self.STAGES)
