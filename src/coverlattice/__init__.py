@@ -26,8 +26,6 @@ from .covers import (
     enumerate_minimal_covers,
     format_covers,
     perfect_matching,
-    relabel,
-    x_parts,
 )
 from .lattice import (
     ClosureCertificate,
@@ -38,7 +36,6 @@ from .lattice import (
     graph_from_lattice,
     hasse,
     hasse_to_dot,
-    is_sublattice,
     parse_lattice,
     random_sublattice,
     rank,
@@ -83,7 +80,6 @@ __all__ = [
     "graph_from_lattice",
     "hasse",
     "hasse_to_dot",
-    "is_sublattice",
     "multichain_counts",
     "parse_graph",
     "parse_labeled",
@@ -92,8 +88,6 @@ __all__ = [
     "random_sublattice",
     "rank",
     "rank_exact",
-    "relabel",
     "serialize_labeled",
     "verify_lattice",
-    "x_parts",
 ]

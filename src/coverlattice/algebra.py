@@ -33,8 +33,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 from .exceptions import InconsistencyError
-from .graphs import LabeledBipartiteGraph
-from .lattice import CoverLattice, rank
+from .lattice import CoverLattice, graph_from_lattice, rank
 
 __all__ = [
     "DimensionReport",
@@ -156,10 +155,10 @@ class DimensionReport:
         return asdict(self)
 
 
-def dimension_report(lg: LabeledBipartiteGraph, lat: CoverLattice) -> DimensionReport:
+def dimension_report(lat: CoverLattice) -> DimensionReport:
     """Compute the report and verify the identities tying its fields together.
 
-    lat is the cover lattice of lg. Required on every valid instance:
+    Required on every valid instance:
     rank_full = rank_truncated + 1, rank_truncated = lattice rank (so the
     dimension, rank_full, is lattice rank + 1), and the ranks over GF(2) and
     GF(3) equal rank_full. Any violation raises
@@ -171,7 +170,7 @@ def dimension_report(lg: LabeledBipartiteGraph, lat: CoverLattice) -> DimensionR
     columns = _cover_columns(lat)
     gram = [[(a & b).bit_count() for b in columns] for a in columns]
     rank_full = rank_exact(gram)
-    rank_trunc = rank_exact([row[: lg.n] for row in gram[: lg.n]])
+    rank_trunc = rank_exact([row[: lat.n] for row in gram[: lat.n]])
     # rank_p(M) = rank_full for every prime p: adding each x column to its y
     # column (determinant 1) makes the rows (chi_A, 1), and the chi_A span the
     # indicators of the preorder's classes, which have disjoint supports
@@ -179,7 +178,7 @@ def dimension_report(lg: LabeledBipartiteGraph, lat: CoverLattice) -> DimensionR
     mod3 = _rank_bits(columns, 3)
     lattice_rank = rank(lat)
     dimension = rank_full
-    cm = lattice_rank == lg.n
+    cm = lattice_rank == lat.n
     problems = []
     if rank_full != rank_trunc + 1:
         problems.append(f"rank_full={rank_full} is not rank_truncated+1={rank_trunc + 1}")
@@ -194,8 +193,8 @@ def dimension_report(lg: LabeledBipartiteGraph, lat: CoverLattice) -> DimensionR
         raise InconsistencyError(
             "; ".join(problems),
             details={
-                "n": lg.n,
-                "edges": sorted(lg.edges),
+                "n": lat.n,
+                "edges": sorted(graph_from_lattice(lat).edges),
                 "lattice": [sorted(e) for e in lat.elements],
                 "rank_full": rank_full,
                 "rank_truncated": rank_trunc,
@@ -206,7 +205,7 @@ def dimension_report(lg: LabeledBipartiteGraph, lat: CoverLattice) -> DimensionR
             },
         )
     return DimensionReport(
-        n=lg.n,
+        n=lat.n,
         cover_count=len(lat.masks),
         rank_full=rank_full,
         rank_truncated=rank_trunc,

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 from .exceptions import CoverError
 from .graphs import Bipartition, Graph, LabeledBipartiteGraph
-from .lattice import _bits, _canonical, _mask_to_set, _to_mask
+from .lattice import _bits, _canonical, _mask_to_set
 
 __all__ = [
     "DEFAULT_MAX_VERTICES",
     "Relabeling",
     "enumerate_minimal_covers",
     "perfect_matching",
-    "relabel",
-    "x_parts",
     "format_covers",
 ]
 
@@ -63,7 +61,7 @@ def _cover_masks(g: Graph, max_vertices: int) -> list[int]:
     return [full ^ s for s in _bron_kerbosch(_non_neighbors(_neighbors(g)), full)]
 
 
-def _cover_size_counts(g: Graph, max_vertices: int) -> tuple[tuple[int, int], ...]:
+def _cover_size_counts(g: Graph) -> tuple[tuple[int, int], ...]:
     """(size, count) of the minimal vertex covers of g, ascending by size.
 
     A minimal cover of a disjoint union is the union of one minimal cover
@@ -71,7 +69,6 @@ def _cover_size_counts(g: Graph, max_vertices: int) -> tuple[tuple[int, int], ..
     and the histogram is the convolution of theirs: the work is a sum over
     the components where listing the covers would cost their product.
     """
-    _check_cap(g, max_vertices)
     nbr = _neighbors(g)
     non_nbr = _non_neighbors(nbr)
     counts = {0: 1}
@@ -179,35 +176,16 @@ class Relabeling:
     y_source: tuple[int, ...]
 
 
-def relabel(g: Graph, part: Bipartition) -> tuple[LabeledBipartiteGraph, Relabeling]:
-    """Normalize an unmixed bipartite graph so that (i, i) is an edge for all i.
-
-    side_u keeps its ascending order as x_1..x_n and the partner of the i-th
-    x vertex in perfect_matching becomes y_i. No other matching would change
-    the labeled edges: on an unmixed graph "x_i y_j is an edge" is a preorder
-    i <= j (Villarreal 2007), and a perfect matching pairing each x_i with
-    y_pi(i) has i <= pi(i) <= pi^2(i) <= ... <= i, so it only permutes y
-    vertices within one class of the preorder. The choice shows only in
-    Relabeling.y_source. CoverError when no perfect matching exists, which
-    cannot happen for an unmixed bipartite graph: both sides of the
-    2-colouring are then minimal covers of one size, as every vertex has an edge.
-    """
-    matching = perfect_matching(g, part)
-    if matching is None:
-        raise CoverError(
-            "inconsistent input: no perfect matching exists, "
-            "which cannot happen for an unmixed bipartite graph"
-        )
-    return _relabel(g, part, matching)
-
-
 def _relabel(
     g: Graph, part: Bipartition, matching: dict[int, int]
 ) -> tuple[LabeledBipartiteGraph, Relabeling]:
-    """relabel with the perfect matching of part that its caller already found.
+    """Label g through a perfect matching of part: side_u ascending is x_1..x_n, partners y_i.
 
     Any bipartite graph with a perfect matching relabels; its labeled edges
-    are a preorder exactly when it is unmixed.
+    are a preorder i <= j exactly when it is unmixed (Villarreal 2007). No
+    other matching changes them then: pairing each x_i with y_pi(i) gives
+    i <= pi(i) <= pi^2(i) <= ... <= i, so it only permutes y vertices within
+    one class of the preorder, which shows only in Relabeling.y_source.
     """
     xs = sorted(part.side_u)
     x_index = {v: i for i, v in enumerate(xs, start=1)}
@@ -229,7 +207,10 @@ def _relabel(
 
 
 def _x_masks(n: int, masks: Iterable[int]) -> list[int]:
-    """x_parts on cover masks, with its checks: bit i - 1 stands for x_i."""
+    """The x side of each cover mask, bit i - 1 for x_i and bit n + i - 1 for y_i.
+
+    CoverError unless each cover holds exactly one of x_i, y_i for every i.
+    """
     full = (1 << n) - 1
     parts = []
     for mask in masks:
@@ -249,18 +230,6 @@ def _x_masks(n: int, masks: Iterable[int]) -> list[int]:
             )
         parts.append(x)
     return parts
-
-
-def x_parts(
-    lg: LabeledBipartiteGraph, covers: Sequence[Cover]
-) -> tuple[frozenset[int], ...]:
-    """Project each minimal cover of the labeled graph onto its x side.
-
-    covers must be the minimal covers of ``as_graph(lg)`` (x_i is vertex i,
-    y_j is vertex n+j). Each cover must pick exactly one of x_i, y_i per
-    pair; a violation means lg was not an unmixed labeling and is an error.
-    """
-    return tuple(map(_mask_to_set, _x_masks(lg.n, map(_to_mask, covers))))
 
 
 def format_covers(covers: Sequence[Cover]) -> str:

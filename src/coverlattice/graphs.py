@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import islice
 
 from .exceptions import GraphError
 
@@ -49,9 +50,12 @@ class Graph:
                 raise GraphError(f"edge {u}-{v} is out of range or not normalized")
             touched.add(u)
             touched.add(v)
-        if len(touched) != self.vertex_count:
-            missing = sorted(set(range(1, self.vertex_count + 1)) - touched)
-            raise GraphError(f"isolated vertices are not allowed: {missing}")
+        isolated = self.vertex_count - len(touched)  # vertex_count may dwarf the input
+        if isolated:
+            missing = (v for v in range(1, self.vertex_count + 1) if v not in touched)
+            shown = list(islice(missing, 10))
+            more = f" and {isolated - 10} more" if isolated > 10 else ""
+            raise GraphError(f"isolated vertices are not allowed: {shown}{more}")
 
     def adjacency(self) -> dict[int, frozenset[int]]:
         nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.vertex_count + 1)}

@@ -76,10 +76,10 @@ def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAn
         pred = _edge_preorder(labeled)
         if _is_preorder(pred):
             lat = CoverLattice._from_preorder(labeled.n, pred)
-            report = dimension_report(labeled, lat)
+            report = dimension_report(lat)
             counts = ((labeled.n, len(lat.masks)),)
             return GraphAnalysis(g, part, counts, True, labeled, relabeling, lat, report)
-    counts = _cover_size_counts(g, max_vertices)
+    counts = _cover_size_counts(g)
     unmixed = len(counts) == 1
     if labeled is not None and unmixed:
         ((size, count),) = counts
@@ -126,7 +126,7 @@ def verify_lattice(lat: CoverLattice) -> LatticeVerification:
                 "stage": "cover_projection",
             },
         )
-    report = dimension_report(lg, lat)
+    report = dimension_report(lat)
     # M(t) = sum_k s_k * C(t-1, k-1) with s_k the k-element strict chains, so
     # the forward differences of M at t = 1 are s_1, s_2, ...; r + 2 values
     # give s_1..s_{r+2}, and the degree is r iff s_{r+1} > 0 = s_{r+2}

@@ -35,8 +35,9 @@ from coverlattice import (
     dimension_report,
     enumerate_minimal_covers,
     graph_from_edges,
-    relabel,
+    perfect_matching,
 )
+from coverlattice.covers import _relabel
 
 
 def brute_force_minimal_covers(g: Graph) -> tuple[frozenset[int], ...]:
@@ -267,8 +268,8 @@ def analyze_graph_by_covers(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) 
     unmixed = is_unmixed(covers)
     if part is None or not unmixed:
         return GraphAnalysis(g, part, counts, unmixed)
-    labeled, relabeling = relabel(g, part)
+    labeled, relabeling = _relabel(g, part, perfect_matching(g, part))
     parts = [{i for i, v in enumerate(relabeling.x_source, start=1) if v in c} for c in covers]
     lat = CoverLattice(labeled.n, parts)
-    report = dimension_report(labeled, lat)
+    report = dimension_report(lat)
     return GraphAnalysis(g, part, counts, unmixed, labeled, relabeling, lat, report)

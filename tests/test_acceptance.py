@@ -21,8 +21,9 @@ from coverlattice import (
     random_sublattice,
     rank_exact,
     verify_lattice,
-    x_parts,
 )
+from coverlattice.covers import _x_masks
+from coverlattice.lattice import _to_mask
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT, matching_graph
 from oracles import (
@@ -299,9 +300,8 @@ def test_analyze_graph_carries_covers_through_the_relabeling(exhaustive_sweep, r
     for _, outcome in exhaustive_sweep[0] + random_sweep[0]:
         analysis = analyze_graph(as_graph(outcome.labeled))
         lg = analysis.labeled
-        assert set(analysis.lattice.elements) == set(
-            x_parts(lg, enumerate_minimal_covers(as_graph(lg)))
-        )
+        covers = enumerate_minimal_covers(as_graph(lg))
+        assert set(analysis.lattice.masks) == set(_x_masks(lg.n, map(_to_mask, covers)))
         checked += 1
     assert checked == 389 + 1200
 

@@ -16,10 +16,11 @@ from coverlattice import (
     multichain_counts,
     random_sublattice,
     rank_exact,
-    x_parts,
 )
 
 from coverlattice.algebra import _add3, _cover_columns, _rank_bits
+from coverlattice.covers import _x_masks
+from coverlattice.lattice import _mask_to_set, _to_mask
 
 from oracles import cover_rows, hilbert_function, rank_by_minors, rank_mod
 
@@ -30,7 +31,7 @@ EDGE1 = LabeledBipartiteGraph(1, frozenset({(1, 1)}))
 
 def _pipeline(lg):
     covers = enumerate_minimal_covers(as_graph(lg))
-    lat = CoverLattice(lg.n, x_parts(lg, covers))
+    lat = CoverLattice(lg.n, map(_mask_to_set, _x_masks(lg.n, map(_to_mask, covers))))
     return covers, lat
 
 
@@ -177,7 +178,7 @@ class TestRankMod:
         for n in (1, 2, 3, 4):
             for lat in enumerate_sublattices(n):
                 lg = graph_from_lattice(lat)
-                report = dimension_report(lg, lat)
+                report = dimension_report(lat)
                 assert report.rank_full_mod2 == report.rank_full_mod3 == report.rank_full
                 rows = cover_rows(enumerate_minimal_covers(as_graph(lg)), n)
                 for p in (2, 3, 5, 7):
@@ -215,7 +216,7 @@ class TestRankBits:
 class TestDimensionReport:
     def test_complete_bipartite(self):
         _, lat = _pipeline(K22)
-        rep = dimension_report(K22, lat)
+        rep = dimension_report(lat)
         assert (
             rep.cover_count,
             rep.rank_full,
@@ -227,14 +228,14 @@ class TestDimensionReport:
 
     def test_matching(self):
         _, lat = _pipeline(MATCH2)
-        rep = dimension_report(MATCH2, lat)
+        rep = dimension_report(lat)
         assert (rep.cover_count, rep.rank_full, rep.rank_truncated) == (4, 3, 2)
         assert (rep.lattice_rank, rep.dimension) == (2, 3)
         assert rep.cohen_macaulay
 
     def test_single_edge(self):
         _, lat = _pipeline(EDGE1)
-        rep = dimension_report(EDGE1, lat)
+        rep = dimension_report(lat)
         assert (rep.cover_count, rep.dimension) == (2, 2)
         assert rep.cohen_macaulay  # n=1, dimension = n+1 = 2
 
@@ -244,7 +245,7 @@ class TestDimensionReport:
         _, lat = _pipeline(MATCH2)
         monkeypatch.setattr(algebra, "rank", lambda lat: 1)  # the true rank is 2
         with pytest.raises(InconsistencyError) as info:
-            dimension_report(MATCH2, lat)
+            dimension_report(lat)
         assert "lattice_rank" in str(info.value)
         details = info.value.details
         assert details["n"] == 2 and details["edges"] == [(1, 1), (2, 2)]
@@ -254,7 +255,7 @@ class TestDimensionReport:
 
     def test_format_report(self):
         _, lat = _pipeline(K22)
-        text = format_report(dimension_report(K22, lat))
+        text = format_report(dimension_report(lat))
         assert "dimension=2" in text
         assert "lattice_rank=1" in text
         assert "cohen_macaulay=no" in text

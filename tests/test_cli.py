@@ -100,6 +100,18 @@ class TestCheck:
             "raise max_vertices to override\n"
         )
 
+    def test_far_vertex_is_counted_not_listed(self, write):
+        # 999999998 isolated vertices: the error names ten and counts the rest
+        path = write("g.txt", "1 1000000000\n")
+        done, seconds = _run_capped("-m", "coverlattice.cli", "check", path)
+        assert seconds < 1.0
+        assert done.returncode == 2
+        assert len(done.stderr.encode()) < 200
+        assert done.stderr == (
+            "error: isolated vertices are not allowed: "
+            "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 999999988 more\n"
+        )
+
 
 class TestCovers:
     def test_lists_all(self, write, capsys):
@@ -236,6 +248,22 @@ class TestFromLattice:
         assert seconds < 1.0
         assert done.returncode == 0
         assert done.stdout == "the full set is missing\n"
+
+    def test_closed_family_without_top_skips_the_pair_scan(self, write):
+        # all 65536 subsets of 1..16 at n=17 are closed under union and
+        # intersection, so no pair is missing; a scan of the 2^31 pairs
+        # would take minutes before it named the absent full set
+        text = "n=17\n" + "".join(
+            (",".join(str(i + 1) for i in range(16) if m >> i & 1) or "{}") + "\n"
+            for m in range(1 << 16)
+        )
+        done, seconds = _run_capped("-m", "coverlattice.cli", "from-lattice", write("l.txt", text))
+        assert seconds < 5.0
+        assert done.returncode == 2
+        assert done.stderr == (
+            "error: not a bounded sublattice: the full set is missing\n"
+            "certificate: the full set is missing\n"
+        )
 
     def test_ground_set_over_the_cap_exits_2_fast(self, write):
         # a valid lattice, {} and 1..10^5: past the cap its preorder alone is
@@ -432,11 +460,10 @@ class TestGen:
     def test_gen_output_is_valid_sublattice(self, tmp_path, capsys):
         out = tmp_path / "lat.txt"
         assert main(["gen", "--n", "3", "--generators", "2", "--seed", "1", "--out", str(out)]) == 0
-        from coverlattice import is_sublattice, parse_lattice
+        from coverlattice import CoverLattice, parse_lattice
 
         lat = parse_lattice(out.read_text())
-        ok, _ = is_sublattice(lat.elements, lat.n)
-        assert ok
+        assert CoverLattice(lat.n, lat.elements) == lat
 
     def test_gen_from_lattice_dim_pipeline(self, tmp_path, capsys):
         lat_file = tmp_path / "lat.txt"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from coverlattice import (
     CoverError,
+    CoverLattice,
     as_graph,
     bipartition,
     enumerate_minimal_covers,
@@ -16,9 +17,9 @@ from coverlattice import (
     parse_graph,
     perfect_matching,
     random_sublattice,
-    relabel,
-    x_parts,
 )
+from coverlattice.covers import _cover_masks, _relabel, _x_masks
+from coverlattice.lattice import _to_mask
 
 from conftest import matching_graph
 from oracles import brute_force_minimal_covers, hall_condition_holds, is_unmixed, random_graph
@@ -122,67 +123,52 @@ class TestMatching:
 
 class TestRelabel:
     def test_four_cycle_becomes_complete_bipartite(self, four_cycle):
-        lg, rel = relabel(four_cycle, bipartition(four_cycle))
+        part = bipartition(four_cycle)
+        lg, rel = _relabel(four_cycle, part, perfect_matching(four_cycle, part))
         assert lg.n == 2
         assert lg.edges == frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
         assert rel.x_source == (1, 3)
         assert rel.y_source == (2, 4)
         # the path 1-2-3-4, the four-cycle less 1-4: x1=1, x2=3, y1=2, y2=4
         path = parse_graph("1 2\n2 3\n3 4\n")
-        lg, rel = relabel(path, bipartition(path))
+        part = bipartition(path)
+        lg, rel = _relabel(path, part, perfect_matching(path, part))
         assert (rel.x_source, rel.y_source) == ((1, 3), (2, 4))
         assert lg.edges == frozenset({(1, 1), (2, 1), (2, 2)})
 
     def test_single_edge(self, single_edge):
-        lg, _ = relabel(single_edge, bipartition(single_edge))
+        part = bipartition(single_edge)
+        lg, _ = _relabel(single_edge, part, perfect_matching(single_edge, part))
         assert lg.n == 1 and lg.edges == frozenset({(1, 1)})
 
     def test_two_disjoint_edges(self, two_disjoint_edges):
-        lg, _ = relabel(two_disjoint_edges, bipartition(two_disjoint_edges))
+        part = bipartition(two_disjoint_edges)
+        lg, _ = _relabel(two_disjoint_edges, part, perfect_matching(two_disjoint_edges, part))
         assert lg.n == 2 and lg.edges == frozenset({(1, 1), (2, 2)})
-
-    def test_rejects_mixed_graph(self, five_vertex_graph):
-        # sides {1,3,5} and {2,4}: the mixed graph has no perfect matching
-        part = bipartition(five_vertex_graph)
-        with pytest.raises(CoverError, match="no perfect matching exists"):
-            relabel(five_vertex_graph, part)
 
 
 class TestXParts:
-    def test_complete_bipartite(self, four_cycle):
-        lg, _ = relabel(four_cycle, bipartition(four_cycle))
-        parts = x_parts(lg, enumerate_minimal_covers(as_graph(lg)))
-        assert set(parts) == {frozenset(), frozenset({1, 2})}
+    """_x_masks on the minimal covers of labeled graphs, bit i - 1 for x_i."""
 
-    def test_matching_gives_boolean_family(self, two_disjoint_edges):
-        lg, _ = relabel(two_disjoint_edges, bipartition(two_disjoint_edges))
-        parts = x_parts(lg, enumerate_minimal_covers(as_graph(lg)))
-        assert set(parts) == {
-            frozenset(),
-            frozenset({1}),
-            frozenset({2}),
-            frozenset({1, 2}),
-        }
+    def test_complete_bipartite(self):
+        lg = graph_from_lattice(CoverLattice(2, [(), (1, 2)]))
+        assert sorted(_x_masks(2, _cover_masks(as_graph(lg), 4))) == [0b00, 0b11]
 
-    def test_single_edge(self, single_edge):
-        lg, _ = relabel(single_edge, bipartition(single_edge))
-        parts = x_parts(lg, enumerate_minimal_covers(as_graph(lg)))
-        assert set(parts) == {frozenset(), frozenset({1})}
+    def test_matching_gives_boolean_family(self):
+        lg = graph_from_lattice(CoverLattice(2, [(), (1,), (2,), (1, 2)]))
+        assert sorted(_x_masks(2, _cover_masks(as_graph(lg), 4))) == [0b00, 0b01, 0b10, 0b11]
+
+    def test_single_edge(self):
+        lg = graph_from_lattice(CoverLattice(1, [(), (1,)]))
+        assert sorted(_x_masks(1, _cover_masks(as_graph(lg), 2))) == [0b0, 0b1]
 
     def test_complementarity_violation_detected(self):
-        lg_edges = frozenset({(1, 1), (2, 2)})
-        from coverlattice import LabeledBipartiteGraph
-
-        lg = LabeledBipartiteGraph(2, lg_edges)
         with pytest.raises(CoverError, match="complementarity"):
-            x_parts(lg, (frozenset({1, 3}),))  # x1 and y1 together
+            _x_masks(2, [_to_mask({1, 3})])  # x1 and y1 together
         with pytest.raises(CoverError, match="size"):
-            x_parts(lg, (frozenset({1}),))
+            _x_masks(2, [_to_mask({1})])
 
     def test_complementarity_message_names_the_first_bad_pair(self):
-        from coverlattice import LabeledBipartiteGraph
-
-        lg = LabeledBipartiteGraph(4, frozenset((i, i) for i in range(1, 5)))
         cases = [
             ({1, 2, 6, 8}, "pair 2 in cover [1, 2, 6, 8] (both present)"),
             ({1, 3, 7, 8}, "pair 2 in cover [1, 3, 7, 8] (both absent)"),
@@ -193,7 +179,7 @@ class TestXParts:
         ]
         for cover, message in cases:
             with pytest.raises(CoverError) as info:
-                x_parts(lg, (frozenset({4, 5, 6, 7}), frozenset(cover)))
+                _x_masks(4, [_to_mask({4, 5, 6, 7}), _to_mask(cover)])
             assert str(info.value) == f"complementarity violated at {message}"
 
 
@@ -227,7 +213,7 @@ class TestUnmixedLabeledInvariants:
 
         A perfect matching pairs each x_i with some y_pi(i), so (i, pi(i)) is an
         edge; naming y_pi(j) as y_j must give back the edge set, which is why
-        relabel may take any perfect matching.
+        _relabel may take any perfect matching.
         """
         lattices = with_alternatives = 0
         for n in (1, 2, 3, 4):

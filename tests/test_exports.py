@@ -52,7 +52,6 @@ PUBLIC_NAMES = [
     "graph_from_lattice",
     "hasse",
     "hasse_to_dot",
-    "is_sublattice",
     "multichain_counts",
     "parse_graph",
     "parse_labeled",
@@ -61,10 +60,8 @@ PUBLIC_NAMES = [
     "random_sublattice",
     "rank",
     "rank_exact",
-    "relabel",
     "serialize_labeled",
     "verify_lattice",
-    "x_parts",
 ]
 
 

@@ -20,8 +20,10 @@ import json
 import tempfile
 from pathlib import Path
 
-from coverlattice import CoverLattice, LabeledBipartiteGraph, is_sublattice, x_parts
+from coverlattice import CoverLattice
 from coverlattice.cli import main
+from coverlattice.covers import _x_masks
+from coverlattice.lattice import _to_mask
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT
 
@@ -30,7 +32,7 @@ INPUTS = {
     "cycle.txt": FOUR_CYCLE_TEXT,
     "triangle.txt": "1 2\n2 3\n1 3\n",
     "empty.txt": "# nothing\n",
-    # x1=5, y1=2, x2=1, y2=4, x3=6, y3=3: a relabeling that is not the identity
+    # x1=1, y1=4, x2=5, y2=2, x3=6, y3=3: a relabeling that is not the identity
     "shuffled.txt": "5 2\n1 4\n5 4\n6 3\n6 2\n6 4\n",
     "unclosed.lat": "n=3\n{}\n1\n2\n1,2,3\n",
     "no_bottom.lat": "n=2\n1\n1,2\n",
@@ -61,8 +63,6 @@ def _call(fn):
 
     return run
 
-
-LABELED_3 = LabeledBipartiteGraph(3, frozenset({(1, 1), (2, 2), (3, 3)}))
 
 # (step name, runner); "@name" is the file of that name in the temporary directory
 STEPS = [
@@ -117,17 +117,11 @@ STEPS = [
      _call(lambda: CoverLattice(3, [(), {1, 2}, {2, 3}, {1, 2, 3}]))),
     ("error: CoverLattice no bottom", _call(lambda: CoverLattice(3, [{1}, {1, 2, 3}]))),
     ("error: CoverLattice no top", _call(lambda: CoverLattice(3, [(), {1}]))),
-    ("is_sublattice", _call(lambda: [
-        is_sublattice([(), {1}, {2}, {1, 2}], 2),
-        is_sublattice([(), {1}, {2}], 2),
-        is_sublattice([()], 0),
-        is_sublattice([], 0),
-    ])),
-    ("x_parts", _call(lambda: x_parts(LABELED_3, [{4, 5, 6}, {1, 5, 6}, {1, 2, 3}]))),
-    ("error: x_parts size", _call(lambda: x_parts(LABELED_3, [{1, 5}]))),
+    # covers of a labeled graph with n=3: members 1-3 are x1..x3, members 4-6 are y1..y3
+    ("error: x_parts size", _call(lambda: _x_masks(3, map(_to_mask, [{1, 5}])))),
     ("error: x_parts both present",
-     _call(lambda: x_parts(LABELED_3, [{4, 5, 6}, {1, 2, 5}]))),
-    ("error: x_parts both absent", _call(lambda: x_parts(LABELED_3, [{1, 3, 6}]))),
+     _call(lambda: _x_masks(3, map(_to_mask, [{4, 5, 6}, {1, 2, 5}])))),
+    ("error: x_parts both absent", _call(lambda: _x_masks(3, map(_to_mask, [{1, 3, 6}])))),
 ]
 
 GOLDEN = {
@@ -176,8 +170,6 @@ GOLDEN = {
     'error: CoverLattice intersection': '7ecb402d034719a1139ee5d1c085192b6f4e27d7b60a1e4608cc30123925d7ac',
     'error: CoverLattice no bottom': '9370eab40982b435bbd668a2b2a578102b0eb5e9e7f79560a5f2230e030d81d2',
     'error: CoverLattice no top': '5d9e29f603fa63f73417a2b41c8d91ecf52cd7fe11cb491fe4a0f143ac69d4db',
-    'is_sublattice': '086ce3e4c0d53cf0af1097bfb7fc084bde5f0aa41a241584194c822c3fa6a4aa',
-    'x_parts': 'f8750f7b32ca3175a6671481f60ece099fe9d1343ed0b9f75e7c466b84d07f86',
     'error: x_parts size': 'd6b457585adf5fd833419b39f0c67063931ed5ce9604b1abf9cae8c215a596fa',
     'error: x_parts both present': '78742e0c4b03863ed6689ca11fea1298d4e2a9da0b5bf0caad11e53e020436a7',
     'error: x_parts both absent': 'f8f4e422a1bd088ac9d96358cc4b15e737a42b89244a94a8da71bde608ec97c2',

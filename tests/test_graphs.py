@@ -53,6 +53,12 @@ class TestParse:
         # index 3 is below the maximum 5 but never mentioned
         with pytest.raises(GraphError, match="isolated"):
             parse_graph("1 2\n4 5\n")
+        # ten isolated vertices are all named; from eleven on, the rest are counted
+        listed = r"allowed: \[2, 3, 4, 5, 6, 7, 8, 9, 10, 11\]"
+        with pytest.raises(GraphError, match=listed + "$"):
+            parse_graph("1 12\n")
+        with pytest.raises(GraphError, match=listed + " and 1 more$"):
+            parse_graph("1 13\n")
 
     def test_zero_index_rejected(self):
         with pytest.raises(GraphError, match="1-based"):

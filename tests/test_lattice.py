@@ -12,13 +12,19 @@ from coverlattice import (
     graph_from_lattice,
     hasse,
     hasse_to_dot,
-    is_sublattice,
     parse_lattice,
     random_sublattice,
     rank,
 )
 
-from coverlattice.lattice import MAX_LATTICE_N, _canonical, _downsets, _is_preorder, _preorder
+from coverlattice.lattice import (
+    MAX_LATTICE_N,
+    _canonical,
+    _downsets,
+    _is_preorder,
+    _preorder,
+    _to_mask,
+)
 
 from oracles import (
     brute_force_closure,
@@ -125,7 +131,7 @@ class TestConstruction:
             for k in range(n):
                 pred = [p | pred[k] if p >> k & 1 else p for p in pred]
             assert _is_preorder(pred)
-        assert _is_preorder(pred) == (_preorder(_downsets(pred, 1 << n), n) == pred)
+        assert _is_preorder(pred) == (_preorder(_downsets(pred, 1 << n), (1 << n) - 1) == pred)
 
     def test_public_and_preorder_constructions_are_equal(self):
         # {} <= {1} <= {1,2,3}, {1,2}, {1,3}: 2 and 3 both sit above 1
@@ -163,32 +169,27 @@ class TestConstruction:
 
 
 class TestIsSublattice:
+    """The CoverLattice constructor's verdict and certificate on a family."""
+
     def test_boolean_family(self):
-        ok, cert = is_sublattice([EMPTY, {1}, {2}, {1, 2}], 2)
-        assert ok and cert is None
+        assert lat(2, (), {1}, {2}, {1, 2}).masks == (0b00, 0b01, 0b10, 0b11)
 
     def test_union_violation_certificate(self):
-        ok, cert = is_sublattice([EMPTY, {1}, {2}], 2)
-        assert not ok
+        with pytest.raises(LatticeError) as info:
+            lat(2, (), {1}, {2})
+        cert = info.value.certificate
         assert cert.kind == "union"
         assert {cert.left, cert.right} == {frozenset({1}), frozenset({2})}
         assert cert.missing == frozenset({1, 2})
         assert "missing" in str(cert)
 
     def test_chain_is_fine(self):
-        ok, _ = is_sublattice([EMPTY, {1}, {1, 2}], 2)
-        assert ok
+        assert lat(2, (), {1}, {1, 2}).masks == (0b00, 0b01, 0b11)
 
     def test_out_of_range_element(self):
-        with pytest.raises(LatticeError, match="subset"):
-            is_sublattice([EMPTY, {3}, {1, 2}], 2)
-
-    def test_empty_ground_set(self):
-        assert is_sublattice([EMPTY], 0) == (True, None)
-        ok, cert = is_sublattice([], 0)
-        assert not ok and cert.kind == "missing-bottom"
-        with pytest.raises(LatticeError, match=r"element \[1\] is not a subset of 1..0"):
-            is_sublattice([EMPTY, {1}], 0)
+        with pytest.raises(LatticeError, match="subset") as info:
+            lat(2, (), {3}, {1, 2})
+        assert info.value.certificate is None
 
 
 class TestHasseAndRank:
@@ -276,13 +277,14 @@ class TestGraphFromLattice:
         assert lg.edges == frozenset({(1, 1), (2, 2), (1, 2)})
 
     def test_round_trip_exhaustive_small(self):
-        from coverlattice import as_graph, enumerate_minimal_covers, x_parts
+        from coverlattice import as_graph, enumerate_minimal_covers
+        from coverlattice.covers import _x_masks
 
         for n in (1, 2, 3):
             for built in enumerate_sublattices(n):
                 lg = graph_from_lattice(built)
                 covers = enumerate_minimal_covers(as_graph(lg))
-                assert set(x_parts(lg, covers)) == set(built.elements)
+                assert set(_x_masks(n, map(_to_mask, covers))) == set(built.masks)
 
     def test_edges_read_back_as_the_preorder(self):
         from coverlattice.lattice import _edge_preorder
@@ -382,17 +384,22 @@ class TestAgainstClosureOracle:
     @settings(deadline=None, max_examples=300)
     def test_verdict_matches_oracle(self, drawn):
         n, family = drawn
-        ok, _ = is_sublattice(family, n)
-        assert ok == (brute_force_closure(family, n) == family)
+        if brute_force_closure(family, n) == family:
+            assert set(CoverLattice(n, family).elements) == family
+        else:
+            with pytest.raises(LatticeError, match="^not a bounded sublattice: "):
+                CoverLattice(n, family)
 
     @given(families())
     @settings(deadline=None, max_examples=300)
     def test_every_certificate_is_true(self, drawn):
         n, family = drawn
-        ok, cert = is_sublattice(family, n)
-        if ok:
-            assert cert is None
-        elif cert.kind in ("union", "intersection"):
+        try:
+            CoverLattice(n, family)
+            return
+        except LatticeError as exc:
+            cert = exc.certificate
+        if cert.kind in ("union", "intersection"):
             assert cert.left in family and cert.right in family
             op = frozenset.union if cert.kind == "union" else frozenset.intersection
             assert op(cert.left, cert.right) == cert.missing

@@ -9,7 +9,6 @@ from coverlattice import (
     CoverLattice,
     InconsistencyError,
     analyze_graph,
-    graph_from_lattice,
     parse_graph,
     random_sublattice,
     rank,
@@ -55,6 +54,19 @@ class TestAnalyzeGraph:
         assert analysis.relabeling.x_source == (1, 3)
         assert [sorted(e) for e in analysis.lattice.elements] == [[], [1, 2]]
         assert analysis.report.dimension == 2
+
+    def test_report_alarm_carries_the_relabeled_edges(self, monkeypatch):
+        # x1=1, y1=4, x2=5, y2=2, x3=6, y3=3: a relabeling that is not the
+        # identity, so the alarm's edges must be the labeled ones, not g's
+        from coverlattice import algebra
+
+        g = parse_graph("5 2\n1 4\n5 4\n6 3\n6 2\n6 4\n")
+        labeled = analyze_graph(g).labeled
+        monkeypatch.setattr(algebra, "rank", lambda lat: 0)  # the true rank is 2
+        with pytest.raises(InconsistencyError) as info:
+            analyze_graph(g)
+        edges = info.value.details["edges"]
+        assert edges == sorted(labeled.edges) == [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 
     def test_disconnected_unmixed_graph(self):
         # two components, one complete bipartite and one single edge
@@ -257,7 +269,7 @@ class TestAlarmStages:
         from coverlattice import algebra
 
         monkeypatch.setattr(algebra, "rank", lambda lat: 0)  # the true rank is 1
-        algebra.dimension_report(graph_from_lattice(self.BOOLEAN1), self.BOOLEAN1)
+        algebra.dimension_report(self.BOOLEAN1)
 
     def _from_preorder(self, monkeypatch):
         CoverLattice._from_preorder(3, [0b001, 0b011, 0b110])  # 1 <= 2 <= 3, not 1 <= 3
