@@ -234,44 +234,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, graph_input: bool = True) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        if graph_input:
-            p.add_argument(
-                "--max-vertices",
-                type=int,
-                default=DEFAULT_MAX_VERTICES,
-                help="enumeration size cap override",
-            )
-
     p_check = sub.add_parser("check", help="bipartite / unmixed / Cohen-Macaulay summary")
     p_check.add_argument("graph_file")
-    add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_covers = sub.add_parser("covers", help="list all minimal vertex covers")
     p_covers.add_argument("graph_file")
-    add_common(p_covers)
     p_covers.set_defaults(func=cmd_covers)
 
     p_lattice = sub.add_parser("lattice", help="emit the cover lattice of a graph")
     p_lattice.add_argument("graph_file")
     p_lattice.add_argument("--out", default=None, help="output path (default stdout)")
     p_lattice.add_argument("--dot", default=None, help="write the Hasse diagram as DOT")
-    add_common(p_lattice)
     p_lattice.set_defaults(func=cmd_lattice)
 
     p_dim = sub.add_parser("dim", help="dimension report for an unmixed bipartite graph")
     p_dim.add_argument("graph_file")
     p_dim.add_argument("--dot", default=None, help="write the Hasse diagram as DOT")
-    add_common(p_dim)
     p_dim.set_defaults(func=cmd_dim)
 
     p_from = sub.add_parser("from-lattice", help="rebuild the unique graph of a lattice file")
     p_from.add_argument("lattice_file")
     p_from.add_argument("--out", default=None, help="output path (default stdout)")
     p_from.add_argument("--dot", default=None, help="write the Hasse diagram as DOT")
-    add_common(p_from, graph_input=False)
     p_from.set_defaults(func=cmd_from_lattice)
 
     p_verify = sub.add_parser("verify", help="sweep lattice instances through every check")
@@ -285,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="random sweep of COUNT instances",
     )
     p_verify.add_argument("--size", type=int, default=5, help="ground-set size for --random")
-    add_common(p_verify, graph_input=False)
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a random lattice (and optionally its graph)")
@@ -294,9 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None, help="lattice output path (default stdout)")
     p_gen.add_argument("--graph-out", default=None, help="also write the graph here")
-    add_common(p_gen, graph_input=False)
     p_gen.set_defaults(func=cmd_gen)
 
+    for p in (p_check, p_covers, p_dim, p_verify):  # the commands that print json
+        p.add_argument("--format", choices=("text", "json"), default="text")
+    for p in (p_check, p_covers, p_lattice, p_dim):  # the commands that read a graph
+        p.add_argument(
+            "--max-vertices",
+            type=int,
+            default=DEFAULT_MAX_VERTICES,
+            help="enumeration size cap override",
+        )
     return parser
 
 

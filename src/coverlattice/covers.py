@@ -7,9 +7,9 @@ the covers command and verify, which list every cover;
 enumerate_minimal_covers returns them as frozensets in the canonical
 order: ascending size, then lexicographic on the members. For check of a
 graph that is not unmixed bipartite, _cover_size_counts runs it once per
-connected component and keeps only a (size, count) histogram. The
-pipeline reads an unmixed bipartite graph's lattice off its labeled edges
-and runs no search on it.
+connected component (graphs._components) and keeps only a (size, count)
+histogram. The pipeline reads an unmixed bipartite graph's lattice off
+its labeled edges and runs no search on it. All of it reads Graph._nbr.
 """
 
 from __future__ import annotations
@@ -18,8 +18,15 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .exceptions import CoverError
-from .graphs import Bipartition, Graph, LabeledBipartiteGraph
-from .lattice import _bits, _canonical, _mask_to_set
+from .graphs import (
+    Bipartition,
+    Graph,
+    LabeledBipartiteGraph,
+    _bits,
+    _canonical,
+    _components,
+    _mask_to_set,
+)
 
 __all__ = [
     "DEFAULT_MAX_VERTICES",
@@ -58,7 +65,7 @@ def _cover_masks(g: Graph, max_vertices: int) -> list[int]:
     """
     _check_cap(g, max_vertices)
     full = (1 << g.vertex_count) - 1
-    return [full ^ s for s in _bron_kerbosch(_non_neighbors(_neighbors(g)), full)]
+    return [full ^ s for s in _bron_kerbosch(_complement(g._nbr), full)]
 
 
 def _cover_size_counts(g: Graph) -> tuple[tuple[int, int], ...]:
@@ -69,21 +76,10 @@ def _cover_size_counts(g: Graph) -> tuple[tuple[int, int], ...]:
     and the histogram is the convolution of theirs: the work is a sum over
     the components where listing the covers would cost their product.
     """
-    nbr = _neighbors(g)
-    non_nbr = _non_neighbors(nbr)
+    non_nbr = _complement(g._nbr)
     counts = {0: 1}
-    seen = 0
-    for root in range(g.vertex_count):
-        if seen >> root & 1:
-            continue
-        component, frontier = 0, 1 << root
-        while frontier:
-            component |= frontier
-            reach = 0
-            for i in _bits(frontier):
-                reach |= nbr[i]
-            frontier = reach & ~component
-        seen |= component
+    for layers in _components(g._nbr):
+        component = sum(layers)  # the layers are disjoint
         convolved: dict[int, int] = {}
         for s in _bron_kerbosch(non_nbr, component):
             k = component.bit_count() - s.bit_count()  # this cover's size in the component
@@ -93,17 +89,8 @@ def _cover_size_counts(g: Graph) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def _neighbors(g: Graph) -> list[int]:
-    """nbr[i]: the neighbors of vertex i + 1 as a mask, bit j for vertex j + 1."""
-    nbr = [0] * g.vertex_count
-    for a, b in g.edges:
-        nbr[a - 1] |= 1 << (b - 1)
-        nbr[b - 1] |= 1 << (a - 1)
-    return nbr
-
-
-def _non_neighbors(nbr: list[int]) -> list[int]:
-    """non_nbr[i]: the vertices that can extend an independent set containing i."""
+def _complement(nbr: Sequence[int]) -> list[int]:
+    """The complement graph: non_nbr[i], the vertices that can join an independent set with i."""
     full = (1 << len(nbr)) - 1
     return [full & ~m & ~(1 << i) for i, m in enumerate(nbr)]
 
@@ -141,8 +128,7 @@ def perfect_matching(g: Graph, part: Bipartition) -> dict[int, int] | None:
     """
     if len(part.side_u) != len(part.side_v):
         return None
-    adj = g.adjacency()
-    order = {u: sorted(adj[u]) for u in part.side_u}
+    order = {u: [j + 1 for j in _bits(g._nbr[u - 1])] for u in part.side_u}
     partner_of_u: dict[int, int] = {}
     partner_of_v: dict[int, int] = {}
 
@@ -186,22 +172,14 @@ def _relabel(
     other matching changes them then: pairing each x_i with y_pi(i) gives
     i <= pi(i) <= pi^2(i) <= ... <= i, so it only permutes y vertices within
     one class of the preorder, which shows only in Relabeling.y_source.
+    part is bipartition(g), so each x vertex's neighbour mask holds y vertices only.
     """
     xs = sorted(part.side_u)
-    x_index = {v: i for i, v in enumerate(xs, start=1)}
     y_index = {matching[v]: i for i, v in enumerate(xs, start=1)}
-    edges: set[tuple[int, int]] = set()
-    for a, b in g.edges:
-        if a in x_index:
-            u, w = a, b
-        elif b in x_index:
-            u, w = b, a
-        else:
-            raise CoverError(f"edge {a}-{b} misses side_u; partition does not 2-color it")
-        if w not in y_index:
-            raise CoverError(f"edge {u}-{w} does not cross the bipartition")
-        edges.add((x_index[u], y_index[w]))
-    labeled = LabeledBipartiteGraph(len(xs), frozenset(edges))
+    edges = frozenset(
+        (i, y_index[w + 1]) for i, v in enumerate(xs, start=1) for w in _bits(g._nbr[v - 1])
+    )
+    labeled = LabeledBipartiteGraph(len(xs), edges)
     relabeling = Relabeling(tuple(xs), tuple(matching[v] for v in xs))
     return labeled, relabeling
 

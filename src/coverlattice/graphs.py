@@ -1,15 +1,18 @@
-"""Simple graphs, bipartitions, and diagonal-labeled bipartite graphs.
+"""Simple graphs, bipartitions, diagonal-labeled bipartite graphs, and the bitmask format.
 
 Vertices are 1-based everywhere, matching the file formats. All types are
 immutable and every function is pure, so concurrent callers need no
-synchronization.
+synchronization. A set is held as an int mask, bit i - 1 for member i;
+_bits, _to_mask, _mask_to_set and the canonical order _canonical serve the
+whole package. Graph._nbr, built on first read, is a graph's one
+neighbour-mask list, and _components its one component walk.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 from .exceptions import GraphError
@@ -25,6 +28,35 @@ __all__ = [
     "parse_labeled",
     "serialize_labeled",
 ]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _to_mask(e: Iterable[int]) -> int:
+    mask = 0
+    for i in e:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def _mask_to_set(mask: int) -> frozenset[int]:
+    out = []  # frozenset(a set) takes 64 slots at 16-18 members; from a list, 32
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return frozenset(out)
+
+
+def _canonical(masks: Iterable[int], width: int) -> list[int]:
+    """By size, then the set holding the lowest differing member first: (len, sorted) order."""
+    full = (1 << width) - 1  # reversed, the complement's bit string has a 0 first at that member
+    return sorted(masks, key=lambda m: (m.bit_count(), f"{full ^ m:0{width}b}"[::-1]))
 
 
 @dataclass(frozen=True)
@@ -57,12 +89,14 @@ class Graph:
             more = f" and {isolated - 10} more" if isolated > 10 else ""
             raise GraphError(f"isolated vertices are not allowed: {shown}{more}")
 
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.vertex_count + 1)}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
+    @cached_property
+    def _nbr(self) -> tuple[int, ...]:
+        """_nbr[v - 1]: the neighbours of vertex v as a mask, bit j - 1 for vertex j."""
+        nbr = [0] * self.vertex_count
+        for a, b in self.edges:
+            nbr[a - 1] |= 1 << (b - 1)
+            nbr[b - 1] |= 1 << (a - 1)
+        return tuple(nbr)
 
 
 @dataclass(frozen=True)
@@ -148,30 +182,41 @@ def parse_graph(text: str) -> Graph:
     return Graph(top, frozenset(edges))
 
 
+def _components(nbr: Sequence[int]) -> Iterator[list[int]]:
+    """Each connected component's breadth-first layers from its lowest vertex, as masks.
+
+    Layer k holds the vertices at distance k; components come lowest vertex first.
+    """
+    seen, full = 0, (1 << len(nbr)) - 1
+    while seen != full:
+        layers, frontier = [], ~seen & (seen + 1)  # the lowest vertex not yet seen
+        while frontier:
+            layers.append(frontier)
+            seen |= frontier
+            reach = 0
+            for i in _bits(frontier):
+                reach |= nbr[i]
+            frontier = reach & ~seen
+        yield layers
+
+
 def bipartition(g: Graph) -> Bipartition | None:
     """2-color the graph if possible, None if some component has an odd cycle.
 
-    Deterministic: each component is explored breadth-first from its lowest
-    vertex, and that root lands on side_u.
+    Deterministic: every edge joins two adjacent breadth-first layers of a
+    component or lies inside one (_components), and an edge inside a layer
+    closes an odd cycle through the root. Without one, the even layers go
+    to side_u, so each component's lowest vertex lands there.
     """
-    adj = g.adjacency()
-    color: dict[int, int] = {}
-    for root in range(1, g.vertex_count + 1):
-        if root in color:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(adj[v]):
-                if w not in color:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
+    nbr = g._nbr
+    sides = [0, 0]
+    for layers in _components(nbr):
+        for k, layer in enumerate(layers):
+            for i in _bits(layer):
+                if nbr[i] & layer:
                     return None
-    side_u = frozenset(v for v, c in color.items() if c == 0)
-    side_v = frozenset(v for v, c in color.items() if c == 1)
-    return Bipartition(side_u, side_v)
+            sides[k & 1] |= layer
+    return Bipartition(_mask_to_set(sides[0]), _mask_to_set(sides[1]))
 
 
 def as_graph(lg: LabeledBipartiteGraph) -> Graph:

@@ -1,16 +1,16 @@
-"""Bounded sublattices of the subset lattice of {1..n}, and the package's bitmask format.
+"""Bounded sublattices of the subset lattice of {1..n}, held as bitmasks.
 
-A set of points or vertices is held as an int mask, bit i - 1 for member
-i, and becomes a frozenset only at the public API; _bits, _to_mask,
-_mask_to_set and the canonical set order _canonical are defined here once.
-By Birkhoff's theorem a bounded sublattice is the family of down-sets of
-one preorder on {1..n}: pred[j], the intersection of the members that
-contain j, holds the elements at or below j. CoverLattice accepts a family
-only if it equals the down-sets of its own preorder, and keeps the element
-masks and pred; producers that hold a preorder, such as a labeled graph's
-edges (_edge_preorder), build it with CoverLattice._from_preorder, which
-tests the relation with _is_preorder before it lists a down-set. The rank
-is the number of distinct pred[j], and the inverse graph writes pred out as edges.
+Sets are masks in the package's one format (graphs._bits and its
+siblings). By Birkhoff's theorem a bounded sublattice is the family of
+down-sets of one preorder on {1..n}: pred[j], the intersection of the
+members that contain j, holds the elements at or below j. CoverLattice
+accepts a family only if it equals the down-sets of its own preorder, and
+keeps the element masks and pred; parse_lattice builds the masks as it
+reads and hands them to that check through CoverLattice._from_masks.
+Producers that hold a preorder, such as a labeled graph's edges
+(_edge_preorder), use CoverLattice._from_preorder, which tests the
+relation with _is_preorder before it lists a down-set. The rank is the
+number of distinct pred[j], and the inverse graph writes pred out as edges.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property, reduce
 from operator import and_, or_
 
 from .exceptions import InconsistencyError, LatticeError
-from .graphs import LabeledBipartiteGraph
+from .graphs import LabeledBipartiteGraph, _bits, _canonical, _mask_to_set, _to_mask
 
 __all__ = [
     "CoverLattice",
@@ -39,35 +39,6 @@ __all__ = [
 ]
 
 MAX_LATTICE_N = 256  # parse_lattice's cap on n: the inverse graph has up to n^2 edges
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _to_mask(e: Iterable[int]) -> int:
-    mask = 0
-    for i in e:
-        mask |= 1 << (i - 1)
-    return mask
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []  # frozenset(a set) takes 64 slots at 16-18 members; from a list, 32
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return frozenset(out)
-
-
-def _canonical(masks: Iterable[int], width: int) -> list[int]:
-    """By size, then the set holding the lowest differing member first: (len, sorted) order."""
-    full = (1 << width) - 1  # reversed, the complement's bit string has a 0 first at that member
-    return sorted(masks, key=lambda m: (m.bit_count(), f"{full ^ m:0{width}b}"[::-1]))
 
 
 def _set_str(e: frozenset[int] | None) -> str:
@@ -199,12 +170,14 @@ class CoverLattice:
     def __init__(self, n: int, elements: Iterable[Iterable[int]]) -> None:
         if n < 1:
             raise LatticeError("need n >= 1")
-        masks = _element_masks(elements, n)
-        pred = _lattice_preorder(masks, (1 << n) - 1)
-        if pred is None:
-            cert = _certificate(masks, n)
-            raise LatticeError(f"not a bounded sublattice: {cert}", certificate=cert)
-        self._hold(n, masks, pred)
+        self._hold(n, _element_masks(elements, n))
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: set[int]) -> CoverLattice:
+        """The constructor's check on distinct masks its caller made inside 1..n."""
+        lat = object.__new__(cls)
+        lat._hold(n, masks)
+        return lat
 
     @classmethod
     def _from_preorder(cls, n: int, pred: list[int]) -> CoverLattice:
@@ -228,7 +201,13 @@ class CoverLattice:
         lat._hold(n, masks, pred)
         return lat
 
-    def _hold(self, n: int, masks: set[int], pred: list[int]) -> None:
+    def _hold(self, n: int, masks: set[int], pred: list[int] | None = None) -> None:
+        """Keep masks and pred; without pred, the family's own, else LatticeError."""
+        if pred is None:
+            pred = _lattice_preorder(masks, (1 << n) - 1)
+            if pred is None:
+                cert = _certificate(masks, n)
+                raise LatticeError(f"not a bounded sublattice: {cert}", certificate=cert)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", tuple(_canonical(masks, n)))
         object.__setattr__(self, "pred", tuple(pred))
@@ -338,7 +317,7 @@ def parse_lattice(text: str) -> CoverLattice:
     carries the certificate.
     """
     n: int | None = None
-    elements: list[frozenset[int]] = []
+    masks: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -356,21 +335,23 @@ def parse_lattice(text: str) -> CoverLattice:
                 raise LatticeError(f"line {lineno}: n={n} exceeds the cap of {MAX_LATTICE_N}")
             continue
         if line == "{}":
-            elements.append(frozenset())
+            masks.add(0)
             continue
         try:
-            members = frozenset(int(tok) for tok in line.split(","))
+            members = [int(tok) for tok in line.split(",")]
         except ValueError:
             raise LatticeError(
                 f"line {lineno}: expected comma-separated indices or {{}}, got {raw!r}"
             ) from None
-        for i in members:
+        mask = 0
+        for i in members:  # the first bad index in the line's order, before any shift by it
             if not 1 <= i <= n:
                 raise LatticeError(f"line {lineno}: index {i} is out of range 1..{n}")
-        elements.append(members)
+            mask |= 1 << (i - 1)
+        masks.add(mask)
     if n is None:
         raise LatticeError("missing 'n=<count>' header")
-    return CoverLattice(n, tuple(elements))
+    return CoverLattice._from_masks(n, masks)
 
 
 def hasse_to_dot(diagram: HasseDiagram) -> str:

@@ -16,15 +16,16 @@ from .covers import (
     perfect_matching,
 )
 from .exceptions import InconsistencyError
-from .graphs import Bipartition, Graph, LabeledBipartiteGraph, as_graph, bipartition
-from .lattice import (
-    CoverLattice,
+from .graphs import (
+    Bipartition,
+    Graph,
+    LabeledBipartiteGraph,
     _canonical,
-    _edge_preorder,
-    _is_preorder,
     _mask_to_set,
-    graph_from_lattice,
+    as_graph,
+    bipartition,
 )
+from .lattice import CoverLattice, _edge_preorder, _is_preorder, graph_from_lattice
 
 __all__ = ["GraphAnalysis", "LatticeVerification", "analyze_graph", "verify_lattice"]
 

@@ -14,8 +14,9 @@ from the enumerated covers, and the Hilbert function of the cover semigroup
 ring comes from collecting every distinct sum of t rows. The one oracle
 built on the package, analyze_graph_by_covers, redoes analyze_graph from a
 full Bron-Kerbosch listing of the whole graph, with no split into connected
-components: the package reads unmixed bipartite graphs off their edges and
-runs Bron-Kerbosch per component on the others.
+components, and labels the graph from its edge list rather than from the
+package's neighbour masks: the package reads unmixed bipartite graphs off
+their edges and runs Bron-Kerbosch per component on the others.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ from coverlattice import (
     Graph,
     GraphAnalysis,
     LabeledBipartiteGraph,
+    Relabeling,
     bipartition,
     dimension_report,
     enumerate_minimal_covers,
     graph_from_edges,
     perfect_matching,
 )
-from coverlattice.covers import _relabel
 
 
 def brute_force_minimal_covers(g: Graph) -> tuple[frozenset[int], ...]:
@@ -260,7 +261,9 @@ def analyze_graph_by_covers(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) 
     The (size, count) histogram counts the whole-graph listing, unmixedness
     comes from the cover sizes, and on an unmixed bipartite graph the
     lattice is the family of the covers' x-parts under the relabeling,
-    validated by the public CoverLattice constructor.
+    validated by the public CoverLattice constructor. The relabeling is
+    redone here from the edge list by dict lookups: side_u ascending is
+    x_1..x_n, and y_i is x_i's partner in the matching.
     """
     covers = enumerate_minimal_covers(g, max_vertices)
     counts = tuple(sorted(Counter(len(c) for c in covers).items()))
@@ -268,7 +271,16 @@ def analyze_graph_by_covers(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) 
     unmixed = is_unmixed(covers)
     if part is None or not unmixed:
         return GraphAnalysis(g, part, counts, unmixed)
-    labeled, relabeling = _relabel(g, part, perfect_matching(g, part))
+    matching = perfect_matching(g, part)
+    xs = sorted(part.side_u)
+    x_label = {v: i for i, v in enumerate(xs, start=1)}
+    y_label = {matching[v]: i for i, v in enumerate(xs, start=1)}
+    edges = {
+        (x_label[a], y_label[b]) if a in x_label else (x_label[b], y_label[a])
+        for a, b in g.edges
+    }
+    labeled = LabeledBipartiteGraph(len(xs), frozenset(edges))
+    relabeling = Relabeling(tuple(xs), tuple(matching[v] for v in xs))
     parts = [{i for i, v in enumerate(relabeling.x_source, start=1) if v in c} for c in covers]
     lat = CoverLattice(labeled.n, parts)
     report = dimension_report(lat)

@@ -23,7 +23,7 @@ from coverlattice import (
     verify_lattice,
 )
 from coverlattice.covers import _x_masks
-from coverlattice.lattice import _to_mask
+from coverlattice.graphs import _to_mask
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT, matching_graph
 from oracles import (

@@ -20,7 +20,7 @@ from coverlattice import (
 
 from coverlattice.algebra import _add3, _cover_columns, _rank_bits
 from coverlattice.covers import _x_masks
-from coverlattice.lattice import _mask_to_set, _to_mask
+from coverlattice.graphs import _mask_to_set, _to_mask
 
 from oracles import cover_rows, hilbert_function, rank_by_minors, rank_mod
 

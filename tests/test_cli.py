@@ -451,6 +451,18 @@ class TestExitCodes:
             assert info.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "--n", "3"], ["lattice", "g.txt"], ["from-lattice", "l.txt"]],
+        ids=["gen", "lattice", "from-lattice"],
+    )
+    def test_format_only_where_json_is_printed(self, argv, capsys):
+        # gen, lattice and from-lattice print one text format; --format is a usage error
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--format", "json"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
 
 class TestGen:
     def test_no_generators(self, capsys):

@@ -19,7 +19,7 @@ from coverlattice import (
     random_sublattice,
 )
 from coverlattice.covers import _cover_masks, _relabel, _x_masks
-from coverlattice.lattice import _to_mask
+from coverlattice.graphs import _to_mask
 
 from conftest import matching_graph
 from oracles import brute_force_minimal_covers, hall_condition_holds, is_unmixed, random_graph
@@ -62,8 +62,6 @@ class TestEnumeration:
         assert len(enumerate_minimal_covers(g, max_vertices=26)) == 2**13
 
     def test_every_cover_is_minimal(self, five_vertex_graph):
-        adjacency = five_vertex_graph.adjacency()
-
         def is_cover(s):
             return all(u in s or v in s for u, v in five_vertex_graph.edges)
 

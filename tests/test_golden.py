@@ -23,7 +23,7 @@ from pathlib import Path
 from coverlattice import CoverLattice
 from coverlattice.cli import main
 from coverlattice.covers import _x_masks
-from coverlattice.lattice import _to_mask
+from coverlattice.graphs import _to_mask
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT
 

@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coverlattice import (
+    Bipartition,
     GraphError,
     LabeledBipartiteGraph,
     as_graph,
@@ -14,7 +15,21 @@ from coverlattice import (
     serialize_labeled,
 )
 
-from oracles import has_odd_closed_walk, random_graph
+from oracles import disjoint_union, has_odd_closed_walk, random_graph
+
+
+def component_roots(g):
+    """The lowest vertex of each connected component, by spreading the smaller label."""
+    label = {v: v for v in range(1, g.vertex_count + 1)}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in g.edges:
+            low = min(label[a], label[b])
+            if label[a] != low or label[b] != low:
+                label[a] = label[b] = low
+                changed = True
+    return set(label.values())
 
 
 class TestParse:
@@ -105,6 +120,25 @@ class TestBipartition:
             assert not has_odd_closed_walk(g)
             for u, v in g.edges:
                 assert (u in part.side_u) != (v in part.side_u)
+
+    @given(st.integers(0, 10_000))
+    @settings(deadline=None)
+    def test_documented_rule_on_disjoint_unions(self, seed):
+        rng = random.Random(seed)
+        g = disjoint_union([random_graph(rng, max_vertices=5) for _ in range(rng.randint(1, 3))])
+        part = bipartition(g)
+        assert (part is None) == has_odd_closed_walk(g)
+        if part is not None:
+            assert part.side_u | part.side_v == set(range(1, g.vertex_count + 1))
+            assert not part.side_u & part.side_v
+            assert component_roots(g) <= part.side_u
+
+    def test_odd_cycle_only_in_a_later_component(self):
+        # the first component, 1-2, two-colors; the triangle 3-4-5 does not
+        assert bipartition(parse_graph("1 2\n3 4\n4 5\n3 5\n")) is None
+        assert bipartition(parse_graph("1 2\n3 4\n4 5\n")) == Bipartition(
+            frozenset({1, 3, 5}), frozenset({2, 4})
+        )
 
 
 class TestLabeled:

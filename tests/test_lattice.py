@@ -17,14 +17,8 @@ from coverlattice import (
     rank,
 )
 
-from coverlattice.lattice import (
-    MAX_LATTICE_N,
-    _canonical,
-    _downsets,
-    _is_preorder,
-    _preorder,
-    _to_mask,
-)
+from coverlattice.graphs import _canonical, _to_mask
+from coverlattice.lattice import MAX_LATTICE_N, _downsets, _is_preorder, _preorder
 
 from oracles import (
     brute_force_closure,
@@ -455,6 +449,19 @@ class TestSerialization:
     def test_parse_rejects_out_of_range(self):
         with pytest.raises(LatticeError, match="out of range"):
             parse_lattice("n=2\n{}\n3\n1,2\n")
+
+    @pytest.mark.parametrize("line, bad", [("5,0,3", 5), ("1,0", 0), ("2,-1", -1), ("-4", -4)])
+    def test_parse_names_the_first_bad_index_in_line_order(self, line, bad):
+        # checked before the index is shifted into a mask, so 0 and -1 are range errors too
+        with pytest.raises(LatticeError, match=rf"^line 3: index {bad} is out of range 1..2$"):
+            parse_lattice(f"n=2\n{{}}\n{line}\n1,2\n")
+
+    def test_parse_checks_each_index_once(self, monkeypatch):
+        from coverlattice import lattice
+
+        # the file's masks go straight to the closure check, past the constructor's range check
+        monkeypatch.setattr(lattice, "_element_masks", None)
+        assert parse_lattice("n=2\n{}\n1\n1,2\n").masks == (0b00, 0b01, 0b11)
 
     def test_parse_refuses_n_over_the_cap(self):
         with pytest.raises(LatticeError, match=f"exceeds the cap of {MAX_LATTICE_N}$"):

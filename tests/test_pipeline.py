@@ -22,7 +22,7 @@ from oracles import analyze_graph_by_covers, longest_chain_cardinality
 def _lose_covers(monkeypatch, lost):
     """Bron-Kerbosch, every search of a component included, loses the cover lost."""
     from coverlattice import covers
-    from coverlattice.lattice import _to_mask
+    from coverlattice.graphs import _to_mask
 
     search, lost_mask = covers._bron_kerbosch, _to_mask(lost)
 
@@ -147,7 +147,7 @@ class TestVerifyLattice:
     def test_lost_cover_raises(self, monkeypatch, lost):
         # losing the all-x or the all-y cover leaves x-parts that are no lattice
         from coverlattice import pipeline
-        from coverlattice.lattice import _canonical
+        from coverlattice.graphs import _canonical
 
         enumerate_all = pipeline._cover_masks
 
