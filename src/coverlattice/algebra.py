@@ -235,12 +235,12 @@ def multichain_counts(lat: CoverLattice, max_length: int) -> list[int]:
     return counts
 
 
+def _yn(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 def format_report(report: DimensionReport) -> str:
     """Flat key=value block, one field per line."""
-
-    def yn(flag: bool) -> str:
-        return "yes" if flag else "no"
-
     lines = [
         f"n={report.n}",
         f"covers={report.cover_count}",
@@ -248,8 +248,8 @@ def format_report(report: DimensionReport) -> str:
         f"rank_truncated={report.rank_truncated}",
         f"lattice_rank={report.lattice_rank}",
         f"dimension={report.dimension}",
-        f"dim_matches_lattice_rank={yn(report.dim_matches_lattice_rank)}",
-        f"cohen_macaulay={yn(report.cohen_macaulay)}",
+        f"dim_matches_lattice_rank={_yn(report.dim_matches_lattice_rank)}",
+        f"cohen_macaulay={_yn(report.cohen_macaulay)}",
         f"rank_full_mod2={report.rank_full_mod2}",
         f"rank_full_mod3={report.rank_full_mod3}",
     ]

@@ -14,10 +14,10 @@ import random
 import sys
 from pathlib import Path
 
-from .algebra import format_report
+from .algebra import _yn, format_report
 from .covers import DEFAULT_MAX_VERTICES, enumerate_minimal_covers, format_covers
 from .exceptions import CoverError, GraphError, InconsistencyError, LatticeError
-from .graphs import Graph, as_graph, parse_graph, parse_labeled, serialize_labeled
+from .graphs import Graph, _content_lines, as_graph, parse_graph, parse_labeled, serialize_labeled
 from .lattice import (
     CoverLattice,
     format_lattice,
@@ -35,16 +35,6 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
 
-def _jsonable(value):
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _read_text(path: str) -> str:
     try:
         if path == "-":
@@ -58,13 +48,8 @@ def _read_text(path: str) -> str:
 def _load_graph(path: str) -> Graph:
     """Accept either an edge-list file or a labeled-graph file (n= header)."""
     text = _read_text(path)
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("n="):
-            return as_graph(parse_labeled(text))
-        return parse_graph(text)
+    for _, line, _ in _content_lines(text):  # the first content line picks the parser
+        return as_graph(parse_labeled(text)) if line.startswith("n=") else parse_graph(text)
     raise GraphError(f"{path}: no content")
 
 
@@ -78,10 +63,6 @@ def _write_or_print(text: str, path: str | None) -> None:
 def _export_dot(lat: CoverLattice, path: str | None) -> None:
     if path:
         Path(path).write_text(hasse_to_dot(hasse(lat)), encoding="utf-8")
-
-
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
 
 
 def _cover_count(analysis: GraphAnalysis) -> int:
@@ -308,7 +289,7 @@ def main(argv=None) -> int:
     except InconsistencyError as exc:
         print(f"INCONSISTENCY: {exc}", file=sys.stderr)
         if exc.details:
-            print(json.dumps(_jsonable(exc.details), indent=2), file=sys.stderr)
+            print(json.dumps(exc.details, indent=2), file=sys.stderr)
         return EXIT_VIOLATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ its labeled edges and runs no search on it. All of it reads Graph._nbr.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .exceptions import CoverError
@@ -45,7 +45,8 @@ def enumerate_minimal_covers(
     g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> tuple[Cover, ...]:
     """All minimal vertex covers of g, in the canonical set order."""
-    return tuple(map(_mask_to_set, _canonical(_cover_masks(g, max_vertices), g.vertex_count)))
+    _check_cap(g, max_vertices)
+    return tuple(map(_mask_to_set, _canonical(_cover_masks(g), g.vertex_count)))
 
 
 def _check_cap(g: Graph, max_vertices: int) -> None:
@@ -57,13 +58,14 @@ def _check_cap(g: Graph, max_vertices: int) -> None:
         )
 
 
-def _cover_masks(g: Graph, max_vertices: int) -> list[int]:
+def _cover_masks(g: Graph) -> list[int]:
     """The minimal vertex covers of g as masks, in no fixed order.
 
     The complements of the maximal independent sets of the whole graph.
-    Exponential in the worst case, hence the vertex cap.
+    Exponential in the worst case, so enumerate_minimal_covers checks the
+    vertex cap first; verify_lattice needs none, as the graph of a lattice
+    has one minimal cover per element.
     """
-    _check_cap(g, max_vertices)
     full = (1 << g.vertex_count) - 1
     return [full ^ s for s in _bron_kerbosch(_complement(g._nbr), full)]
 
@@ -182,32 +184,6 @@ def _relabel(
     labeled = LabeledBipartiteGraph(len(xs), edges)
     relabeling = Relabeling(tuple(xs), tuple(matching[v] for v in xs))
     return labeled, relabeling
-
-
-def _x_masks(n: int, masks: Iterable[int]) -> list[int]:
-    """The x side of each cover mask, bit i - 1 for x_i and bit n + i - 1 for y_i.
-
-    CoverError unless each cover holds exactly one of x_i, y_i for every i.
-    """
-    full = (1 << n) - 1
-    parts = []
-    for mask in masks:
-        if mask.bit_count() != n:
-            raise CoverError(
-                f"cover {sorted(_mask_to_set(mask))} has size {mask.bit_count()}, expected {n}: "
-                "graph is not unmixed-labeled"
-            )
-        x, y = mask & full, mask >> n
-        if x ^ y != full:
-            bad = full & ~(x ^ y)
-            i = (bad & -bad).bit_length()
-            state = "both present" if x >> (i - 1) & 1 else "both absent"
-            raise CoverError(
-                f"complementarity violated at pair {i} in cover "
-                f"{sorted(_mask_to_set(mask))} ({state})"
-            )
-        parts.append(x)
-    return parts
 
 
 def format_covers(covers: Sequence[Cover]) -> str:

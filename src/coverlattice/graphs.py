@@ -151,14 +151,19 @@ def graph_from_edges(edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(top, frozenset(normalized))
 
 
+def _content_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """(lineno, line, raw): each raw line, stripped of its '#' comment, that is not blank."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, raw
+
+
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document: one "u v" pair per line, '#' starts a comment."""
     edges: dict[tuple[int, int], int] = {}
     top = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line, raw in _content_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected 'u v', got {raw!r}")
@@ -236,10 +241,7 @@ def parse_labeled(text: str) -> LabeledBipartiteGraph:
     """Parse the labeled-graph format written by serialize_labeled."""
     n: int | None = None
     pairs: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line, raw in _content_lines(text):
         if n is None:
             if not line.startswith("n="):
                 raise GraphError(f"line {lineno}: expected header 'n=<count>', got {raw!r}")

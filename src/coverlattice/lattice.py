@@ -22,7 +22,7 @@ from functools import cached_property, reduce
 from operator import and_, or_
 
 from .exceptions import InconsistencyError, LatticeError
-from .graphs import LabeledBipartiteGraph, _bits, _canonical, _mask_to_set, _to_mask
+from .graphs import LabeledBipartiteGraph, _bits, _canonical, _content_lines, _mask_to_set, _to_mask
 
 __all__ = [
     "CoverLattice",
@@ -318,10 +318,7 @@ def parse_lattice(text: str) -> CoverLattice:
     """
     n: int | None = None
     masks: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line, raw in _content_lines(text):
         if n is None:
             if not line.startswith("n="):
                 raise LatticeError(f"line {lineno}: expected header 'n=<count>', got {raw!r}")

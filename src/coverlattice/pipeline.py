@@ -12,7 +12,6 @@ from .covers import (
     _cover_masks,
     _cover_size_counts,
     _relabel,
-    _x_masks,
     perfect_matching,
 )
 from .exceptions import InconsistencyError
@@ -107,23 +106,31 @@ def verify_lattice(lat: CoverLattice) -> LatticeVerification:
     """Drive one lattice instance through the whole verification pipeline.
 
     CoverLattice's down-set check certifies graph_from_lattice's output; on
-    top of that this enumerates the graph's minimal covers (Bron-Kerbosch)
-    and checks that their x-parts reproduce the lattice, an independent
-    route back from the graph, capped at its 2n vertices (it has |L| covers).
-    It then computes the dimension report, which ties the preorder rank to
-    the exact matrix ranks, and checks the dimension against the Hilbert
-    function of the cover semigroup ring: the multichain count M(t) of the
-    lattice, whose degree must be rank_full - 1. Any violation raises
-    InconsistencyError.
+    top of that this enumerates the graph's minimal covers (Bron-Kerbosch),
+    an independent route back from the graph, and checks the bijection
+    behind the cover semigroup ring: they are exactly the covers
+    C_A = {x_i : i in A} + {y_j : j not in A}, one per element A of the
+    lattice. It then computes the dimension report, which ties the preorder
+    rank to the exact matrix ranks, and checks the dimension against the
+    Hilbert function of the cover semigroup ring: the multichain count M(t)
+    of the lattice, whose degree must be rank_full - 1. Any violation
+    raises InconsistencyError.
     """
     lg = graph_from_lattice(lat)
-    parts = set(_x_masks(lg.n, _cover_masks(as_graph(lg), 2 * lg.n)))
-    if parts != set(lat.masks):
+    n, full = lg.n, (1 << lg.n) - 1
+    found = set(_cover_masks(as_graph(lg)))  # bit i - 1 for x_i, bit n + j - 1 for y_j
+    expected = {a | (full ^ a) << n for a in lat.masks}
+    if found != expected:
+
+        def listed(masks, width):
+            return [sorted(_mask_to_set(m)) for m in _canonical(masks, width)]
+
         raise InconsistencyError(
             "cover projection does not reproduce the lattice",
             details={
                 "expected": [sorted(e) for e in lat.elements],
-                "actual": [sorted(_mask_to_set(m)) for m in _canonical(parts, lg.n)],
+                "actual": listed({c & full for c in found}, n),  # the found covers' x-parts
+                "unexpected": listed(found - expected, 2 * n),  # found, but no C_A
                 "stage": "cover_projection",
             },
         )

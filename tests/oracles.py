@@ -224,6 +224,14 @@ def cover_rows(covers, n: int) -> list[tuple[int, ...]]:
     return [tuple(int(v in cover) for v in range(1, 2 * n + 1)) for cover in covers]
 
 
+def lattice_covers(elements, n: int) -> set[frozenset[int]]:
+    """C_A = A + {n + j : j not in A} for each element A: the minimal covers of its graph.
+
+    x_i is vertex i and y_j is vertex n + j, as in cover_rows.
+    """
+    return {frozenset(a) | {n + j for j in range(1, n + 1) if j not in a} for a in elements}
+
+
 def brute_force_closure(family, n: int) -> frozenset[frozenset[int]]:
     """Add both bounds, then pairwise unions and intersections until nothing changes."""
     closed = {frozenset(e) for e in family} | {frozenset(), frozenset(range(1, n + 1))}

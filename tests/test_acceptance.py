@@ -22,8 +22,6 @@ from coverlattice import (
     rank_exact,
     verify_lattice,
 )
-from coverlattice.covers import _x_masks
-from coverlattice.graphs import _to_mask
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT, matching_graph
 from oracles import (
@@ -32,6 +30,7 @@ from oracles import (
     hall_condition_holds,
     hilbert_function,
     is_unmixed,
+    lattice_covers,
     longest_chain_cardinality,
     rank_by_minors,
 )
@@ -301,7 +300,7 @@ def test_analyze_graph_carries_covers_through_the_relabeling(exhaustive_sweep, r
         analysis = analyze_graph(as_graph(outcome.labeled))
         lg = analysis.labeled
         covers = enumerate_minimal_covers(as_graph(lg))
-        assert set(analysis.lattice.masks) == set(_x_masks(lg.n, map(_to_mask, covers)))
+        assert set(covers) == lattice_covers(analysis.lattice.elements, lg.n)
         checked += 1
     assert checked == 389 + 1200
 

@@ -19,8 +19,6 @@ from coverlattice import (
 )
 
 from coverlattice.algebra import _add3, _cover_columns, _rank_bits
-from coverlattice.covers import _x_masks
-from coverlattice.graphs import _mask_to_set, _to_mask
 
 from oracles import cover_rows, hilbert_function, rank_by_minors, rank_mod
 
@@ -31,7 +29,7 @@ EDGE1 = LabeledBipartiteGraph(1, frozenset({(1, 1)}))
 
 def _pipeline(lg):
     covers = enumerate_minimal_covers(as_graph(lg))
-    lat = CoverLattice(lg.n, map(_mask_to_set, _x_masks(lg.n, map(_to_mask, covers))))
+    lat = CoverLattice(lg.n, (c & set(range(1, lg.n + 1)) for c in covers))
     return covers, lat
 
 

@@ -79,6 +79,16 @@ class TestCheck:
             "cohen_macaulay": False,
         }
 
+    def test_labeled_file_after_a_comment_and_a_blank_line(self, write, capsys):
+        from coverlattice.cli import _load_graph
+        from coverlattice.graphs import as_graph, parse_labeled
+
+        text = "# c\n\nn=2\n1 1  # d\n2 2\n1 2\n"
+        path = write("l.txt", text)
+        assert _load_graph(path) == as_graph(parse_labeled(text))
+        assert main(["check", path]) == 0
+        assert capsys.readouterr().out == "bipartite=yes unmixed=yes covers=3 cm=yes\n"
+
     def test_parse_error_exits_2(self, write, capsys):
         assert main(["check", write("g.txt", "1 1\n")]) == 2
         assert "loop" in capsys.readouterr().err
@@ -349,6 +359,24 @@ class TestVerify:
             "differ from rank_full=2\n"
         )
         assert '"rank_full_mod3": 1' in captured.err
+
+    @pytest.mark.parametrize(
+        "n, covers",
+        [
+            ("1", [0b11, 0b10]),  # {x1, y1} has 2 vertices, not n = 1
+            ("2", [0b1100, 0b0101]),  # {x1, y1} has n = 2 vertices but holds a pair whole
+        ],
+    )
+    def test_broken_cover_is_an_inconsistency(self, capsys, monkeypatch, n, covers):
+        from coverlattice import pipeline
+
+        monkeypatch.setattr(pipeline, "_cover_masks", lambda g: covers)
+        assert main(["verify", "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        head, details = captured.err.split("\n", 1)
+        assert head == "INCONSISTENCY: cover projection does not reproduce the lattice"
+        assert json.loads(details)["stage"] == "cover_projection"
 
 
 class TestParser:

@@ -18,8 +18,7 @@ from coverlattice import (
     perfect_matching,
     random_sublattice,
 )
-from coverlattice.covers import _cover_masks, _relabel, _x_masks
-from coverlattice.graphs import _to_mask
+from coverlattice.covers import _cover_masks, _relabel
 
 from conftest import matching_graph
 from oracles import brute_force_minimal_covers, hall_condition_holds, is_unmixed, random_graph
@@ -146,39 +145,19 @@ class TestRelabel:
 
 
 class TestXParts:
-    """_x_masks on the minimal covers of labeled graphs, bit i - 1 for x_i."""
+    """_cover_masks on the graph of a lattice: bit i - 1 for x_i, bit n + j - 1 for y_j."""
 
     def test_complete_bipartite(self):
         lg = graph_from_lattice(CoverLattice(2, [(), (1, 2)]))
-        assert sorted(_x_masks(2, _cover_masks(as_graph(lg), 4))) == [0b00, 0b11]
+        assert sorted(_cover_masks(as_graph(lg))) == [0b0011, 0b1100]
 
     def test_matching_gives_boolean_family(self):
         lg = graph_from_lattice(CoverLattice(2, [(), (1,), (2,), (1, 2)]))
-        assert sorted(_x_masks(2, _cover_masks(as_graph(lg), 4))) == [0b00, 0b01, 0b10, 0b11]
+        assert sorted(_cover_masks(as_graph(lg))) == [0b0011, 0b0110, 0b1001, 0b1100]
 
     def test_single_edge(self):
         lg = graph_from_lattice(CoverLattice(1, [(), (1,)]))
-        assert sorted(_x_masks(1, _cover_masks(as_graph(lg), 2))) == [0b0, 0b1]
-
-    def test_complementarity_violation_detected(self):
-        with pytest.raises(CoverError, match="complementarity"):
-            _x_masks(2, [_to_mask({1, 3})])  # x1 and y1 together
-        with pytest.raises(CoverError, match="size"):
-            _x_masks(2, [_to_mask({1})])
-
-    def test_complementarity_message_names_the_first_bad_pair(self):
-        cases = [
-            ({1, 2, 6, 8}, "pair 2 in cover [1, 2, 6, 8] (both present)"),
-            ({1, 3, 7, 8}, "pair 2 in cover [1, 3, 7, 8] (both absent)"),
-            ({1, 6, 3, 7}, "pair 3 in cover [1, 3, 6, 7] (both present)"),
-            ({5, 6, 7, 3}, "pair 3 in cover [3, 5, 6, 7] (both present)"),
-            ({5, 6, 7, 1}, "pair 1 in cover [1, 5, 6, 7] (both present)"),
-            ({1, 2, 4, 8}, "pair 3 in cover [1, 2, 4, 8] (both absent)"),
-        ]
-        for cover, message in cases:
-            with pytest.raises(CoverError) as info:
-                _x_masks(4, [_to_mask({4, 5, 6, 7}), _to_mask(cover)])
-            assert str(info.value) == f"complementarity violated at {message}"
+        assert sorted(_cover_masks(as_graph(lg))) == [0b01, 0b10]
 
 
 class TestUnmixedLabeledInvariants:

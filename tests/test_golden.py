@@ -22,8 +22,6 @@ from pathlib import Path
 
 from coverlattice import CoverLattice
 from coverlattice.cli import main
-from coverlattice.covers import _x_masks
-from coverlattice.graphs import _to_mask
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT
 
@@ -117,11 +115,6 @@ STEPS = [
      _call(lambda: CoverLattice(3, [(), {1, 2}, {2, 3}, {1, 2, 3}]))),
     ("error: CoverLattice no bottom", _call(lambda: CoverLattice(3, [{1}, {1, 2, 3}]))),
     ("error: CoverLattice no top", _call(lambda: CoverLattice(3, [(), {1}]))),
-    # covers of a labeled graph with n=3: members 1-3 are x1..x3, members 4-6 are y1..y3
-    ("error: x_parts size", _call(lambda: _x_masks(3, map(_to_mask, [{1, 5}])))),
-    ("error: x_parts both present",
-     _call(lambda: _x_masks(3, map(_to_mask, [{4, 5, 6}, {1, 2, 5}])))),
-    ("error: x_parts both absent", _call(lambda: _x_masks(3, map(_to_mask, [{1, 3, 6}])))),
 ]
 
 GOLDEN = {
@@ -170,9 +163,6 @@ GOLDEN = {
     'error: CoverLattice intersection': '7ecb402d034719a1139ee5d1c085192b6f4e27d7b60a1e4608cc30123925d7ac',
     'error: CoverLattice no bottom': '9370eab40982b435bbd668a2b2a578102b0eb5e9e7f79560a5f2230e030d81d2',
     'error: CoverLattice no top': '5d9e29f603fa63f73417a2b41c8d91ecf52cd7fe11cb491fe4a0f143ac69d4db',
-    'error: x_parts size': 'd6b457585adf5fd833419b39f0c67063931ed5ce9604b1abf9cae8c215a596fa',
-    'error: x_parts both present': '78742e0c4b03863ed6689ca11fea1298d4e2a9da0b5bf0caad11e53e020436a7',
-    'error: x_parts both absent': 'f8f4e422a1bd088ac9d96358cc4b15e737a42b89244a94a8da71bde608ec97c2',
 }
 
 

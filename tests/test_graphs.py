@@ -164,6 +164,25 @@ class TestLabeled:
         with pytest.raises(GraphError, match="header"):
             parse_labeled("1 1\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# c\n\nx=2  # d\n", "line 3: expected header 'n=<count>', got 'x=2  # d'"),
+            ("# c\nn=two\n1 1\n", "line 2: bad count in 'n=two'"),
+            ("n=2\n1 1 2\n", "line 2: expected 'i j', got '1 1 2'"),
+            ("n=2\n1 1\n\n1 x  # y\n", "line 4: non-integer index in '1 x  # y'"),
+            ("# only a comment\n\n", "missing 'n=<count>' header"),
+        ],
+    )
+    def test_labeled_parse_error_messages(self, text, message):
+        with pytest.raises(GraphError) as info:
+            parse_labeled(text)
+        assert str(info.value) == message
+
+    def test_labeled_parse_skips_comments_and_blank_lines(self):
+        lg = parse_labeled("# c\n\nn=2  # two\n1 1\n\n2 2 # d\n1 2\n")
+        assert lg == LabeledBipartiteGraph(2, frozenset({(1, 1), (2, 2), (1, 2)}))
+
 
 def test_graph_from_edges_normalizes_orientation():
     g = graph_from_edges([(2, 1), (3, 2)])

@@ -17,12 +17,13 @@ from coverlattice import (
     rank,
 )
 
-from coverlattice.graphs import _canonical, _to_mask
+from coverlattice.graphs import _canonical
 from coverlattice.lattice import MAX_LATTICE_N, _downsets, _is_preorder, _preorder
 
 from oracles import (
     brute_force_closure,
     brute_force_hasse,
+    lattice_covers,
     longest_chain_cardinality,
     preorder_by_intersection,
 )
@@ -272,13 +273,12 @@ class TestGraphFromLattice:
 
     def test_round_trip_exhaustive_small(self):
         from coverlattice import as_graph, enumerate_minimal_covers
-        from coverlattice.covers import _x_masks
 
         for n in (1, 2, 3):
             for built in enumerate_sublattices(n):
                 lg = graph_from_lattice(built)
                 covers = enumerate_minimal_covers(as_graph(lg))
-                assert set(_x_masks(n, map(_to_mask, covers))) == set(built.masks)
+                assert set(covers) == lattice_covers(built.elements, n)
 
     def test_edges_read_back_as_the_preorder(self):
         from coverlattice.lattice import _edge_preorder
@@ -470,6 +470,10 @@ class TestSerialization:
     def test_parse_needs_header(self):
         with pytest.raises(LatticeError, match="header"):
             parse_lattice("{}\n1\n")
+
+    def test_parse_skips_comments_and_blank_lines(self):
+        built = parse_lattice("# c\n\nn=2  # two\n# d\n{}\n\n1  # one\n1,2\n")
+        assert built == lat(2, (), {1}, {1, 2})
 
     def test_dot_export(self):
         text = hasse_to_dot(hasse(lat(2, (), {1}, {1, 2})))

@@ -1,4 +1,5 @@
 import ast
+import json
 import random
 from math import comb
 from pathlib import Path
@@ -151,8 +152,8 @@ class TestVerifyLattice:
 
         enumerate_all = pipeline._cover_masks
 
-        def drop_one(g, max_vertices):
-            masks = _canonical(enumerate_all(g, max_vertices), g.vertex_count)
+        def drop_one(g):
+            masks = _canonical(enumerate_all(g), g.vertex_count)
             return masks[:lost] + masks[lost + 1 :]
 
         monkeypatch.setattr(pipeline, "_cover_masks", drop_one)
@@ -167,6 +168,17 @@ class TestVerifyLattice:
         actual = info.value.details["actual"]
         assert len(actual) == 3 and set(map(tuple, actual)) < {(), (1,), (2,), (1, 2)}
         assert actual == sorted(actual, key=lambda e: (len(e), e))
+
+    def test_unexpected_names_covers_that_are_no_c_a(self, monkeypatch):
+        # {x1, y1} replaces C_{1} = {x1, y2}: the x-parts are still the lattice's elements
+        from coverlattice import pipeline
+
+        monkeypatch.setattr(pipeline, "_cover_masks", lambda g: [0b1100, 0b0101, 0b0011])
+        with pytest.raises(InconsistencyError, match="cover projection") as info:
+            verify_lattice(CoverLattice(2, (frozenset(), frozenset({1}), frozenset({1, 2}))))
+        details = info.value.details
+        assert details["actual"] == details["expected"] == [[], [1], [1, 2]]
+        assert details["unexpected"] == [[1, 3]]
 
     def test_enumeration_cap_is_the_graphs_vertex_count(self):
         # the 13-point chain: its graph has 26 vertices, over the default cap of 24
@@ -277,7 +289,7 @@ class TestAlarmStages:
     def _cover_projection(self, monkeypatch):
         from coverlattice import pipeline
 
-        monkeypatch.setattr(pipeline, "_cover_masks", lambda g, max_vertices: [])
+        monkeypatch.setattr(pipeline, "_cover_masks", lambda g: [])
         verify_lattice(self.BOOLEAN1)
 
     def _multichain(self, monkeypatch):
@@ -291,6 +303,7 @@ class TestAlarmStages:
         with pytest.raises(InconsistencyError) as info:
             getattr(self, f"_{stage}")(monkeypatch)
         assert info.value.details["stage"] == stage
+        json.dumps(info.value.details)  # main prints them as json on stderr
 
     def test_every_raise_is_one_of_the_stages(self):
         # each InconsistencyError(...) in the package passes a literal details["stage"]
