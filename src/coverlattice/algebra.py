@@ -5,26 +5,34 @@ Each minimal cover of an unmixed labeled graph is the 0/1 row (chi_A,
 row per element of the cover lattice L; so the cover matrix M is read off
 L's bitmasks and never built from the covers. The dimension of the
 semigroup generated by the cover monomials equals the rank of M over the
-rationals. The package takes it from the 2n x 2n Gram matrix G = M^T M,
+rationals. Adding each x column of M to its y column is a unimodular column
+operation over the integers (determinant 1), and it turns M into
+[X | 1 ... 1] with n equal all-ones columns; so M has the rank of the n + 1
+columns [X | 1] over the rationals and over every GF(p). The package takes
+that rank from the (n + 1) x (n + 1) Gram matrix G = [X | 1]^T [X | 1],
 whose entry (a, b) counts the covers holding both coordinates a and b: for
-a rational vector v, v^T G v = |Mv|^2 vanishes only when Mv does, so G and
-M have the same kernel and the same rank, and the leading n x n block of G
-is the Gram matrix of the x-side truncation. G has at most 2n rows where M
+a rational vector v, v^T G v = |[X | 1] v|^2 vanishes only when [X | 1] v
+does, so G has the rank of [X | 1], and the leading n x n block of G is
+X^T X, the Gram matrix of the x-side truncation. G has n + 1 rows where M
 has one per cover, and the rank of M is at most n + 1. Both ranks are
 computed fraction-free, tied to the lattice rank, and any failure of the
 identities between those quantities raises an InconsistencyError carrying
 the full instance. The Gram identity fails over a field of characteristic
 p (a nonzero vector can have |Mv|^2 = 0 there), so the ranks over GF(2) and
 GF(3), which on a cover matrix equal the rank over the rationals, come from
-elimination on the same 2n columns packed as bitmasks: XORs over GF(2), and
-bit-sliced (ones, twos) mask pairs over GF(3). No rank over a general GF(p)
-is computed here; the tests hold that one, as the reference for the bit
-elimination.
+elimination on the same n + 1 columns packed as bitmasks: XORs over GF(2),
+and bit-sliced (ones, twos) mask pairs over GF(3). No rank over a general
+GF(p) is computed here; the tests hold that one, as the reference for the
+bit elimination.
 
 The semigroup ring is the Hibi ring of the cover lattice L (Hibi 1987;
 Herzog-Hibi-Ohsugi, arXiv:0811.0747): its degree-t monomials correspond to
 the multichains A_1 <= ... <= A_t of L, so multichain_counts is its Hilbert
 function, and the degree of that polynomial is the lattice rank exactly.
+Each level of the count is a zeta transform over L, summed over the
+preorder's classes, its join-irreducibles (Bjorklund, Husfeldt, Kaski,
+Koivisto, Nederlof and Parviainen, "Fast zeta transforms for lattices with
+few irreducibles", ACM Trans. Algorithms 12(1), 2016).
 """
 
 from __future__ import annotations
@@ -115,10 +123,11 @@ def _rank_bits(columns: Sequence[int], p: int) -> int:
 
 
 def _cover_columns(lat: CoverLattice) -> list[int]:
-    """The 2n columns of the cover matrix as bitmasks, bit r for the element lat.masks[r].
+    """The n + 1 columns of [X | 1] as bitmasks, bit r for the element lat.masks[r].
 
-    Column x_i holds the elements containing i and y_i the others; one pass
-    over the set bits of each element builds the x columns.
+    Column x_i holds the elements containing i, and the last column holds
+    every element; one pass over the set bits of each element builds the x
+    columns. The cover matrix [X | 1 - X] has the same rank over every field.
     """
     x_columns = [0] * lat.n
     for r, m in enumerate(lat.masks):
@@ -127,8 +136,7 @@ def _cover_columns(lat: CoverLattice) -> list[int]:
             low = m & -m
             x_columns[low.bit_length() - 1] |= bit
             m ^= low
-    all_rows = (1 << len(lat.masks)) - 1
-    return x_columns + [all_rows ^ c for c in x_columns]
+    return x_columns + [(1 << len(lat.masks)) - 1]
 
 
 @dataclass(frozen=True)
@@ -166,14 +174,14 @@ def dimension_report(lat: CoverLattice) -> DimensionReport:
     that never happens, so a raise is a bug alarm worth keeping loud.
     """
     # the rows are 0/1, so popcounts of the pairwise intersections of the
-    # columns are the entries of M^T M
+    # columns are the entries of the Gram matrix
     columns = _cover_columns(lat)
     gram = [[(a & b).bit_count() for b in columns] for a in columns]
     rank_full = rank_exact(gram)
     rank_trunc = rank_exact([row[: lat.n] for row in gram[: lat.n]])
-    # rank_p(M) = rank_full for every prime p: adding each x column to its y
-    # column (determinant 1) makes the rows (chi_A, 1), and the chi_A span the
-    # indicators of the preorder's classes, which have disjoint supports
+    # rank_p(M) = rank_full for every prime p: the rows (chi_A, 1) of [X | 1]
+    # span the indicators of the preorder's classes, which have disjoint
+    # supports, and the all-ones row
     mod2 = _rank_bits(columns, 2)
     mod3 = _rank_bits(columns, 3)
     lattice_rank = rank(lat)
@@ -221,17 +229,30 @@ def dimension_report(lat: CoverLattice) -> DimensionReport:
 def multichain_counts(lat: CoverLattice, max_length: int) -> list[int]:
     """Number of multichains A_1 <= ... <= A_t of lattice elements, t = 1..max_length.
 
-    Dynamic programming over the subset order of the elements: the
-    multichains of length t + 1 that end at B extend those of length t that
-    end at some A <= B.
+    The multichains of length t + 1 that end at B extend those of length t
+    that end at some A <= B, so each level is the zeta transform
+    g(B) = sum of f(A) over the elements A <= B of the level before. The
+    transform runs over the preorder's classes, the join-irreducibles of L,
+    in O(v |L|) for v classes (Bjorklund et al., TALG 2016): for each class c
+    in turn, it adds g(B - c) into g(B) for every element B holding pred[c]
+    with B - c in L, that is with c maximal in B. The classes must be taken
+    in a linear extension of the preorder, smaller classes first, as
+    increasing popcount of pred gives; in another order an element below a
+    class not yet taken is missed.
     """
-    masks = lat.masks
-    below = [[i for i, a in enumerate(masks) if a & b == a] for b in masks]
-    ending = [1] * len(masks)
+    index = {m: k for k, m in enumerate(lat.masks)}
+    steps = []
+    for p in sorted(set(lat.pred), key=int.bit_count):
+        c = sum(1 << j for j, q in enumerate(lat.pred) if q == p)
+        steps += [
+            (k, index[b ^ c]) for k, b in enumerate(lat.masks) if b & p == p and b ^ c in index
+        ]
+    ending = [1] * len(lat.masks)
     counts = []
     for _ in range(max_length):
         counts.append(sum(ending))
-        ending = [sum(ending[i] for i in idx) for idx in below]
+        for k, a in steps:
+            ending[k] += ending[a]
     return counts
 
 

@@ -5,11 +5,12 @@ the package internals: covers come from filtering every vertex subset and
 unmixedness from their sizes, rank comes from cofactor-expansion minors
 and, over GF(p), also from plain elimination mod p, Hall's condition comes
 from listing every subset of the x side, odd cycles come from
-adjacency-matrix powers, chain length comes from dynamic programming over
-the full subset order, the sublattice a family generates comes from adding
-pairwise unions and intersections until nothing changes, the preorder of a
-lattice comes from intersecting the members that contain each point, Hasse
-diagrams come from testing every triple of elements, cover matrix rows come
+adjacency-matrix powers, chain length and multichain counts come from
+dynamic programming over the full subset order, the sublattice a family
+generates comes from adding pairwise unions and intersections until nothing
+changes, the preorder of a lattice comes from intersecting the members that
+contain each point, Hasse diagrams come from testing every triple of
+elements, cover matrix rows come
 from the enumerated covers, and the Hilbert function of the cover semigroup
 ring comes from collecting every distinct sum of t rows. The one oracle
 built on the package, analyze_graph_by_covers, redoes analyze_graph from a
@@ -205,6 +206,23 @@ def hilbert_function(rows, max_degree: int) -> list[int]:
     for _ in range(max_degree):
         current = {tuple(a + b for a, b in zip(s, r)) for s in current for r in rows}
         counts.append(len(current))
+    return counts
+
+
+def multichain_counts_by_subset_order(elements, max_length: int) -> list[int]:
+    """Number of multichains A_1 <= ... <= A_t of the elements, t = 1..max_length.
+
+    Dynamic programming over the subset order of all pairs of elements: the
+    multichains of length t + 1 that end at B extend those of length t that
+    end at some A <= B.
+    """
+    elements = [frozenset(e) for e in elements]
+    below = [[i for i, a in enumerate(elements) if a <= b] for b in elements]
+    ending = [1] * len(elements)
+    counts = []
+    for _ in range(max_length):
+        counts.append(sum(ending))
+        ending = [sum(ending[i] for i in idx) for idx in below]
     return counts
 
 

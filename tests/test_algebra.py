@@ -20,7 +20,13 @@ from coverlattice import (
 
 from coverlattice.algebra import _add3, _cover_columns, _rank_bits
 
-from oracles import cover_rows, hilbert_function, rank_by_minors, rank_mod
+from oracles import (
+    cover_rows,
+    hilbert_function,
+    multichain_counts_by_subset_order,
+    rank_by_minors,
+    rank_mod,
+)
 
 K22 = LabeledBipartiteGraph(2, frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}))
 MATCH2 = LabeledBipartiteGraph(2, frozenset({(1, 1), (2, 2)}))
@@ -34,50 +40,57 @@ def _pipeline(lg):
 
 
 def _rows(lat):
-    """The cover matrix rows spelled out from the report's columns, bit r as row r."""
+    """The rows (chi_A, 1) of [X | 1] spelled out from the report's columns, bit r as row r."""
     columns = _cover_columns(lat)
     return [tuple(c >> r & 1 for c in columns) for r in range(len(lat.masks))]
 
 
+def _cover_matrix(rows):
+    """The 2n-column cover matrix from rows (chi_A, 1): each becomes (chi_A, 1 - chi_A)."""
+    return [row[:-1] + tuple(1 - v for v in row[:-1]) for row in rows]
+
+
 class TestBuildMatrices:
-    """_cover_columns reads the cover matrix off the lattice, bit r for element r."""
+    """_cover_columns reads [X | 1] off the lattice, bit r for element r.
+
+    The cover matrix [X | 1 - X] becomes [X | 1 ... 1] by adding each x column
+    to its y column, so the n x columns and one all-ones column keep its rank.
+    """
 
     def test_complete_bipartite(self):
         covers, lat = _pipeline(K22)
-        assert _cover_columns(lat) == [0b10, 0b10, 0b01, 0b01]
-        assert sorted(_rows(lat)) == sorted(cover_rows(covers, 2))
+        assert _cover_columns(lat) == [0b10, 0b10, 0b11]
+        assert sorted(_cover_matrix(_rows(lat))) == sorted(cover_rows(covers, 2))
 
     def test_matching_row_order(self):
         covers, lat = _pipeline(MATCH2)
-        assert _cover_columns(lat) == [0b1010, 0b1100, 0b0101, 0b0011]
-        assert _rows(lat) == [(0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)]
-        assert sorted(_rows(lat)) == sorted(cover_rows(covers, 2))
+        assert _cover_columns(lat) == [0b1010, 0b1100, 0b1111]
+        assert _rows(lat) == [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+        assert sorted(_cover_matrix(_rows(lat))) == sorted(cover_rows(covers, 2))
 
     def test_single_edge(self):
         _, lat = _pipeline(EDGE1)
-        assert _cover_columns(lat) == [0b10, 0b01]
+        assert _cover_columns(lat) == [0b10, 0b11]
 
     def test_first_and_last_rows_are_the_boundary_covers(self):
         rng = random.Random(11)
         for _ in range(25):
             lat = random_sublattice(rng.randint(1, 5), rng.randint(0, 8), rng.getrandbits(32))
             rows, n = _rows(lat), lat.n
-            assert rows[0] == (0,) * n + (1,) * n
-            assert rows[-1] == (1,) * n + (0,) * n
+            assert rows[0] == (0,) * n + (1,)
+            assert rows[-1] == (1,) * (n + 1)
 
     def test_column_identity(self):
-        """The rows are the enumerated covers' rows; each y column is 1 minus its x column."""
+        """The rows with each y column put back as 1 - x are the enumerated covers' rows."""
         rng = random.Random(12)
         for _ in range(25):
             lg = graph_from_lattice(
                 random_sublattice(rng.randint(1, 5), rng.randint(0, 8), rng.getrandbits(32))
             )
             covers, lat = _pipeline(lg)
-            rows, n = _rows(lat), lg.n
-            assert sorted(rows) == sorted(cover_rows(covers, n))
-            for j in range(n):
-                for row in rows:
-                    assert row[n + j] == 1 - row[j]
+            rows = _rows(lat)
+            assert all(row[-1] == 1 for row in rows)
+            assert sorted(_cover_matrix(rows)) == sorted(cover_rows(covers, lg.n))
 
 
 class TestRankExact:
@@ -237,6 +250,26 @@ class TestDimensionReport:
         assert (rep.cover_count, rep.dimension) == (2, 2)
         assert rep.cohen_macaulay  # n=1, dimension = n+1 = 2
 
+    @staticmethod
+    def _assert_ranks_of_the_cover_matrix(lat):
+        rows = cover_rows(enumerate_minimal_covers(as_graph(graph_from_lattice(lat))), lat.n)
+        report = dimension_report(lat)
+        assert report.rank_full == rank_exact(rows)
+        assert report.rank_truncated == rank_exact([row[: lat.n] for row in rows])
+
+    def test_ranks_equal_those_of_the_2n_column_matrix_exhaustive(self):
+        checked = 0
+        for n in (1, 2, 3, 4):
+            for lat in enumerate_sublattices(n):
+                self._assert_ranks_of_the_cover_matrix(lat)
+                checked += 1
+        assert checked == 389
+
+    @given(st.integers(1, 8), st.integers(0, 16), st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_ranks_equal_those_of_the_2n_column_matrix(self, n, generators, seed):
+        self._assert_ranks_of_the_cover_matrix(random_sublattice(n, generators, seed))
+
     def test_inconsistency_alarm_carries_instance(self, monkeypatch):
         from coverlattice import algebra
 
@@ -306,6 +339,23 @@ class TestGrowth:
         expected = [(t + 1) ** 4 for t in range(1, 14)]
         assert multichain_counts(boolean4, 13) == expected  # beyond degree 12
         assert hilbert_function(rows, 6) == expected[:6]
+
+    def test_three_element_chain(self):
+        # the chain {} < {1} < {1,2} has C(t+2, 2) multichains of length t; taking
+        # the class {2} before {1} adds g({1}) into g({1,2}) before g({1}) holds
+        # g({}), which leaves 5 at t = 2
+        chain = CoverLattice(2, [set(), {1}, {1, 2}])
+        assert multichain_counts(chain, 4) == [3, 6, 10, 15]
+        assert multichain_counts_by_subset_order(chain.elements, 4) == [3, 6, 10, 15]
+
+    @given(st.integers(1, 10), st.integers(0, 20), st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_matches_the_subset_order_oracle(self, n, generators, seed):
+        lat = random_sublattice(n, generators, seed)
+        levels = len(set(lat.pred)) + 2  # the levels verify_lattice reads
+        assert multichain_counts(lat, levels) == multichain_counts_by_subset_order(
+            lat.elements, levels
+        )
 
     @given(st.integers(1, 5), st.integers(0, 12), st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=200)
