@@ -2,28 +2,45 @@
 
 Each minimal cover of an unmixed labeled graph is the 0/1 row (chi_A,
 1 - chi_A) of length 2n (x coordinates first, then y) for its x-part A, one
-row per element of the cover lattice L; so the cover matrix M is read off
-L's bitmasks and never built from the covers. The dimension of the
-semigroup generated by the cover monomials equals the rank of M over the
-rationals. Adding each x column of M to its y column is a unimodular column
-operation over the integers (determinant 1), and it turns M into
-[X | 1 ... 1] with n equal all-ones columns; so M has the rank of the n + 1
-columns [X | 1] over the rationals and over every GF(p). The package takes
-that rank from the (n + 1) x (n + 1) Gram matrix G = [X | 1]^T [X | 1],
-whose entry (a, b) counts the covers holding both coordinates a and b: for
-a rational vector v, v^T G v = |[X | 1] v|^2 vanishes only when [X | 1] v
-does, so G has the rank of [X | 1], and the leading n x n block of G is
-X^T X, the Gram matrix of the x-side truncation. G has n + 1 rows where M
-has one per cover, and the rank of M is at most n + 1. Both ranks are
-computed fraction-free, tied to the lattice rank, and any failure of the
-identities between those quantities raises an InconsistencyError carrying
-the full instance. The Gram identity fails over a field of characteristic
-p (a nonzero vector can have |Mv|^2 = 0 there), so the ranks over GF(2) and
-GF(3), which on a cover matrix equal the rank over the rationals, come from
-elimination on the same n + 1 columns packed as bitmasks: XORs over GF(2),
-and bit-sliced (ones, twos) mask pairs over GF(3). No rank over a general
-GF(p) is computed here; the tests hold that one, as the reference for the
-bit elimination.
+row per element of the cover lattice L, the down-sets of the preorder pred.
+The dimension of the semigroup generated by the cover monomials equals the
+rank of that cover matrix M over the rationals. Adding each x column of M
+to its y column is a unimodular column operation over the integers
+(determinant 1), and it turns M into [X | 1 ... 1] with n equal all-ones
+columns; so M has the rank of the n + 1 columns [X | 1] over the rationals
+and over every GF(p). The report reads only n and pred, and it lists no
+element of L.
+
+The exact ranks come from the (n + 1) x (n + 1) Gram matrix
+G = [X | 1]^T [X | 1], whose entry (a, b) counts the elements holding both
+coordinates a and b. An element holds i and j iff it holds the down-set
+pred[i] | pred[j], so G[x_i, x_j] = c_ij, the number of down-sets of the
+preorder restricted to the points outside pred[i] | pred[j];
+G[x_i, 1] = c_ii, and G[1, 1] = |L|, the cover count. One memo serves all
+(n + 1)(n + 2) / 2 counts through the split N(S) = N(S - up(x)) +
+N(S - pred[x]). Its states are convex sets of points, not down-sets, so
+there are at most 2^n of them whatever |L| is. For a rational vector v,
+v^T G v = |[X | 1] v|^2 vanishes only when [X | 1] v does, so G has the rank
+of [X | 1]. One fraction-free (Bareiss) pass over G gives both ranks: the
+pivots among its first n columns number the rank of those columns,
+[X | 1]^T X, whose null space is that of X; so they number
+rank X = rank X^T X = rank_truncated, and the final count is rank_full.
+Both are tied to the lattice rank, and any failure of the identities
+between those quantities raises an InconsistencyError carrying the full
+instance.
+
+The Gram identity fails over a field of characteristic p (a nonzero vector
+can have |Mv|^2 = 0 there), so the ranks over GF(2) and GF(3), which on a
+cover matrix equal the rank over the rationals, come from elimination on
+at most 2v + 1 rows (chi_A, 1) of [X | 1], v the number of classes of the
+preorder (each the points sharing one pred entry): A is the empty set,
+each pred[k], and each pred[k] less the class of k. Each class indicator
+is the difference of the last two, and every down-set is a disjoint union
+of classes, so these rows span every row of [X | 1] over every field. The
+rows are packed as bitmasks: XORs over GF(2), and bit-sliced (ones, twos)
+mask pairs over GF(3). No rank over a general GF(p) is computed here; the
+tests hold that one, as the reference for the bit elimination, and the
+listing route over all |L| rows as the reference for the report.
 
 The semigroup ring is the Hibi ring of the cover lattice L (Hibi 1987;
 Herzog-Hibi-Ohsugi, arXiv:0811.0747): its degree-t monomials correspond to
@@ -37,10 +54,11 @@ few irreducibles", ACM Trans. Algorithms 12(1), 2016).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 
 from .exceptions import InconsistencyError
+from .graphs import _bits
 from .lattice import CoverLattice, graph_from_lattice, rank
 
 __all__ = [
@@ -52,29 +70,32 @@ __all__ = [
 ]
 
 
-def rank_exact(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) integer elimination.
+def _pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The pivot columns, ascending, of fraction-free (Bareiss) integer elimination.
 
-    Entries stay integers throughout: each interior division is exact by the
-    Sylvester determinant identity, and that exactness is asserted, so the
-    result involves no floating point and no rounding anywhere.
+    Columns are taken left to right, so the pivots among the first k columns
+    number the rank of those k columns over the rationals. Entries stay
+    integers throughout: each interior division is exact by the Sylvester
+    determinant identity, and that exactness is asserted, so the result
+    involves no floating point and no rounding anywhere.
     """
     m = [list(map(int, r)) for r in rows]
     if not m:
-        return 0
+        return []
     width = len(m[0])
     if any(len(r) != width for r in m):
         raise ValueError("ragged matrix")
-    pivots = 0
+    pivots: list[int] = []
     prev = 1
     for col in range(width):
-        piv = next((r for r in range(pivots, len(m)) if m[r][col] != 0), None)
+        k = len(pivots)
+        piv = next((r for r in range(k, len(m)) if m[r][col] != 0), None)
         if piv is None:
             continue
-        m[pivots], m[piv] = m[piv], m[pivots]
-        lead = m[pivots][col]
-        pivot_row = m[pivots]
-        for r in range(pivots + 1, len(m)):
+        m[k], m[piv] = m[piv], m[k]
+        lead = m[k][col]
+        pivot_row = m[k]
+        for r in range(k + 1, len(m)):
             row = m[r]
             factor = row[col]
             for c in range(col + 1, width):
@@ -85,10 +106,15 @@ def rank_exact(rows: Sequence[Sequence[int]]) -> int:
                 row[c] = quot
             row[col] = 0
         prev = lead
-        pivots += 1
-        if pivots == len(m):
+        pivots.append(col)
+        if len(pivots) == len(m):
             break
     return pivots
+
+
+def rank_exact(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) integer elimination."""
+    return len(_pivot_columns(rows))
 
 
 def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
@@ -122,21 +148,46 @@ def _rank_bits(columns: Sequence[int], p: int) -> int:
     return len(pivots)
 
 
-def _cover_columns(lat: CoverLattice) -> list[int]:
-    """The n + 1 columns of [X | 1] as bitmasks, bit r for the element lat.masks[r].
+def _downset_counter(pred: Sequence[int]) -> Callable[[int], int]:
+    """N(S), the number of down-sets of the preorder pred restricted to the points of S.
 
-    Column x_i holds the elements containing i, and the last column holds
-    every element; one pass over the set bits of each element builds the x
-    columns. The cover matrix [X | 1 - X] has the same rank over every field.
+    A down-set of S either leaves out a point x of S, and with it every
+    point above x, or holds x and every point below it; what remains is a
+    down-set of S - up(x) or of S - pred[x], so
+    N(S) = N(S - up(x)) + N(S - pred[x]) with N(empty) = 1. Every call of the
+    returned function shares one memo. Each state is an up-set of the
+    points less some up- and down-sets, a convex set, so there are at most
+    2^n of them however many down-sets the preorder has.
     """
-    x_columns = [0] * lat.n
-    for r, m in enumerate(lat.masks):
-        bit = 1 << r
-        while m:
-            low = m & -m
-            x_columns[low.bit_length() - 1] |= bit
-            m ^= low
-    return x_columns + [(1 << len(lat.masks)) - 1]
+    up = [0] * len(pred)
+    for j, p in enumerate(pred):
+        for i in _bits(p):
+            up[i] |= 1 << j
+    memo = {0: 1}
+
+    def count(s: int) -> int:
+        if s not in memo:
+            x = s.bit_length() - 1
+            memo[s] = count(s & ~up[x]) + count(s & ~pred[x])
+        return memo[s]
+
+    return count
+
+
+def _spanning_rows(pred: Sequence[int]) -> list[int]:
+    """Rows (chi_A, 1) of [X | 1] with its rank over every field, bit n for the 1.
+
+    A is the empty set, each pred[k] and each pred[k] less the class of k
+    (the points with pred equal to pred[k]): at most 2v + 1 down-sets for v
+    classes. Each class indicator is the difference of the last two rows,
+    and every down-set is a disjoint union of classes, so every row of
+    [X | 1] is the empty set's row plus class rows.
+    """
+    classes: dict[int, int] = {}
+    for j, p in enumerate(pred):
+        classes[p] = classes.get(p, 0) | 1 << j
+    one = 1 << len(pred)
+    return sorted({one} | {p | one for p in classes} | {p & ~c | one for p, c in classes.items()})
 
 
 @dataclass(frozen=True)
@@ -173,17 +224,20 @@ def dimension_report(lat: CoverLattice) -> DimensionReport:
     InconsistencyError with the whole instance attached; on genuine inputs
     that never happens, so a raise is a bug alarm worth keeping loud.
     """
-    # the rows are 0/1, so popcounts of the pairwise intersections of the
-    # columns are the entries of the Gram matrix
-    columns = _cover_columns(lat)
-    gram = [[(a & b).bit_count() for b in columns] for a in columns]
-    rank_full = rank_exact(gram)
-    rank_trunc = rank_exact([row[: lat.n] for row in gram[: lat.n]])
-    # rank_p(M) = rank_full for every prime p: the rows (chi_A, 1) of [X | 1]
-    # span the indicators of the preorder's classes, which have disjoint
-    # supports, and the all-ones row
-    mod2 = _rank_bits(columns, 2)
-    mod3 = _rank_bits(columns, 3)
+    # entry (a, b) of G = [X | 1]^T [X | 1] counts the elements holding both
+    # coordinates: the down-sets holding pred[i] | pred[j] for x_i and x_j,
+    # those holding pred[i] for x_i and 1, and all of L for 1 and 1
+    n, pred = lat.n, lat.pred
+    count, full, need = _downset_counter(pred), (1 << n) - 1, [*pred, 0]
+    gram = [[count(full & ~(a | b)) for b in need] for a in need]
+    # the first n columns of G are [X | 1]^T X, whose null space is X's, so
+    # the pivots among them number rank(X) = rank_truncated
+    pivots = _pivot_columns(gram)
+    rank_full = len(pivots)
+    rank_trunc = sum(col < n for col in pivots)
+    rows = _spanning_rows(pred)
+    mod2 = _rank_bits(rows, 2)
+    mod3 = _rank_bits(rows, 3)
     lattice_rank = rank(lat)
     dimension = rank_full
     cm = lattice_rank == lat.n
@@ -214,7 +268,7 @@ def dimension_report(lat: CoverLattice) -> DimensionReport:
         )
     return DimensionReport(
         n=lat.n,
-        cover_count=len(lat.masks),
+        cover_count=gram[n][n],
         rank_full=rank_full,
         rank_truncated=rank_trunc,
         lattice_rank=lattice_rank,

@@ -5,11 +5,12 @@ siblings). By Birkhoff's theorem a bounded sublattice is the family of
 down-sets of one preorder on {1..n}: pred[j], the intersection of the
 members that contain j, holds the elements at or below j. CoverLattice
 accepts a family only if it equals the down-sets of its own preorder, and
-keeps the element masks and pred; parse_lattice builds the masks as it
-reads and hands them to that check through CoverLattice._from_masks.
+keeps pred; parse_lattice builds the masks as it reads and hands them to
+that check through CoverLattice._from_masks, which keeps them too.
 Producers that hold a preorder, such as a labeled graph's edges
 (_edge_preorder), use CoverLattice._from_preorder, which tests the
-relation with _is_preorder before it lists a down-set. The rank is the
+relation with _is_preorder and lists no down-set: the masks are listed on
+first read, and the dimension report never reads them. The rank is the
 number of distinct pred[j], and the inverse graph writes pred out as edges.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Collection, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 
@@ -80,7 +81,7 @@ def _preorder(masks: Collection[int], points: int) -> list[int]:
     return pred
 
 
-def _downsets(pred: list[int], limit: int) -> set[int] | None:
+def _downsets(pred: Collection[int], limit: int) -> set[int] | None:
     """The down-sets of pred: the empty set and every union of the pred[j].
 
     Returns None as soon as there are more than limit of them, so the work
@@ -157,15 +158,16 @@ class CoverLattice:
     """A bounded sublattice of the subset lattice of {1..n}.
 
     Elements are deduplicated; construction fails loudly if the family is
-    not closed. masks holds them as bitmasks in canonical order, and pred[j]
-    is the mask of the points at or below point j + 1 in the preorder; both
-    are computed once, by the validation. elements, the frozensets of
-    masks, is built on first read.
+    not closed. pred[j] is the mask of the points at or below point j + 1
+    in the preorder, computed once, by the validation. The lattice is the
+    down-sets of pred, so n and pred alone decide equality and the hash.
+    masks, the elements as bitmasks in canonical order, is kept from a
+    parsed family and otherwise listed on first read; elements, the
+    frozensets of masks, is built on first read.
     """
 
     n: int
-    masks: tuple[int, ...]
-    pred: tuple[int, ...] = field(repr=False, compare=False)
+    pred: tuple[int, ...]
 
     def __init__(self, n: int, elements: Iterable[Iterable[int]]) -> None:
         if n < 1:
@@ -196,21 +198,25 @@ class CoverLattice:
                     "stage": "from_preorder",
                 },
             )
-        masks = _downsets(pred, 1 << n)
         lat = object.__new__(cls)
-        lat._hold(n, masks, pred)
+        object.__setattr__(lat, "n", n)
+        object.__setattr__(lat, "pred", tuple(pred))
         return lat
 
-    def _hold(self, n: int, masks: set[int], pred: list[int] | None = None) -> None:
-        """Keep masks and pred; without pred, the family's own, else LatticeError."""
+    def _hold(self, n: int, masks: set[int]) -> None:
+        """Keep masks and the family's own pred, or raise LatticeError."""
+        pred = _lattice_preorder(masks, (1 << n) - 1)
         if pred is None:
-            pred = _lattice_preorder(masks, (1 << n) - 1)
-            if pred is None:
-                cert = _certificate(masks, n)
-                raise LatticeError(f"not a bounded sublattice: {cert}", certificate=cert)
+            cert = _certificate(masks, n)
+            raise LatticeError(f"not a bounded sublattice: {cert}", certificate=cert)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "masks", tuple(_canonical(masks, n)))
         object.__setattr__(self, "pred", tuple(pred))
+        object.__setattr__(self, "masks", tuple(_canonical(masks, n)))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The elements as bitmasks in canonical order: the down-sets of pred."""
+        return tuple(_canonical(_downsets(self.pred, 1 << self.n), self.n))
 
     @cached_property
     def elements(self) -> tuple[frozenset[int], ...]:

@@ -37,9 +37,10 @@ class GraphAnalysis:
     bipartite and unmixed; the lattice elements are the x-parts of the
     covers of labeled. cover_size_counts holds (size, count) pairs of the
     minimal covers of graph, ascending by size; no cover is kept. On an
-    unmixed bipartite graph it is ((n, |L|),), read off the lattice. Only on
-    the other graphs does Bron-Kerbosch find it, one connected component
-    at a time.
+    unmixed bipartite graph it is ((n, |L|),), with |L| the dimension
+    report's count from the preorder, and no element is listed. Only on the
+    other graphs does Bron-Kerbosch find it, one connected component at a
+    time.
     """
 
     graph: Graph
@@ -77,7 +78,7 @@ def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAn
         if _is_preorder(pred):
             lat = CoverLattice._from_preorder(labeled.n, pred)
             report = dimension_report(lat)
-            counts = ((labeled.n, len(lat.masks)),)
+            counts = ((labeled.n, report.cover_count),)
             return GraphAnalysis(g, part, counts, True, labeled, relabeling, lat, report)
     counts = _cover_size_counts(g)
     unmixed = len(counts) == 1

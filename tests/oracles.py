@@ -12,12 +12,17 @@ changes, the preorder of a lattice comes from intersecting the members that
 contain each point, Hasse diagrams come from testing every triple of
 elements, cover matrix rows come
 from the enumerated covers, and the Hilbert function of the cover semigroup
-ring comes from collecting every distinct sum of t rows. The one oracle
-built on the package, analyze_graph_by_covers, redoes analyze_graph from a
+ring comes from collecting every distinct sum of t rows. Two oracles are
+built on the package. dimension_report_by_listing takes the Gram matrix
+and the ranks over GF(2) and GF(3) from the columns of every listed
+element, through the package's rank_exact and _rank_bits: the package
+counts the Gram entries from the preorder and takes one elimination for
+both exact ranks. analyze_graph_by_covers redoes analyze_graph from a
 full Bron-Kerbosch listing of the whole graph, with no split into connected
-components, and labels the graph from its edge list rather than from the
-package's neighbour masks: the package reads unmixed bipartite graphs off
-their edges and runs Bron-Kerbosch per component on the others.
+components, labels the graph from its edge list rather than from the
+package's neighbour masks, and takes the report by listing: the package
+reads unmixed bipartite graphs off their edges and runs Bron-Kerbosch per
+component on the others.
 """
 
 from __future__ import annotations
@@ -30,16 +35,18 @@ from coverlattice import (
     DEFAULT_MAX_VERTICES,
     CoverError,
     CoverLattice,
+    DimensionReport,
     Graph,
     GraphAnalysis,
     LabeledBipartiteGraph,
     Relabeling,
     bipartition,
-    dimension_report,
     enumerate_minimal_covers,
     graph_from_edges,
     perfect_matching,
+    rank_exact,
 )
+from coverlattice.algebra import _rank_bits
 
 
 def brute_force_minimal_covers(g: Graph) -> tuple[frozenset[int], ...]:
@@ -242,6 +249,45 @@ def cover_rows(covers, n: int) -> list[tuple[int, ...]]:
     return [tuple(int(v in cover) for v in range(1, 2 * n + 1)) for cover in covers]
 
 
+def cover_columns(elements, n: int) -> list[int]:
+    """The n + 1 columns of [X | 1] as bitmasks, bit r for the r-th element.
+
+    Column x_i holds the elements containing i and the last column holds
+    every element: one bit per element, so the columns are |L| bits long.
+    """
+    x_columns = [sum(1 << r for r, e in enumerate(elements) if i in e) for i in range(1, n + 1)]
+    return x_columns + [(1 << len(elements)) - 1]
+
+
+def dimension_report_by_listing(lat: CoverLattice) -> DimensionReport:
+    """dimension_report from every element of the lattice, with no identity checked.
+
+    The Gram matrix of the listed columns of [X | 1] gives rank_full, and
+    its leading n x n block, X^T X, gives rank_truncated, each by its own
+    rank_exact call; the ranks over GF(2) and GF(3) come from elimination
+    on the full columns. The lattice rank is the number of distinct
+    preorder entries, each the intersection of the elements holding a point.
+    """
+    n, elements = lat.n, lat.elements
+    columns = cover_columns(elements, n)
+    gram = [[(a & b).bit_count() for b in columns] for a in columns]
+    rank_full = rank_exact(gram)
+    rank_truncated = rank_exact([row[:n] for row in gram[:n]])
+    lattice_rank = len(set(preorder_by_intersection(elements, n)))
+    return DimensionReport(
+        n=n,
+        cover_count=len(elements),
+        rank_full=rank_full,
+        rank_truncated=rank_truncated,
+        lattice_rank=lattice_rank,
+        dimension=rank_full,
+        dim_matches_lattice_rank=rank_full == lattice_rank + 1,
+        cohen_macaulay=lattice_rank == n,
+        rank_full_mod2=_rank_bits(columns, 2),
+        rank_full_mod3=_rank_bits(columns, 3),
+    )
+
+
 def lattice_covers(elements, n: int) -> set[frozenset[int]]:
     """C_A = A + {n + j : j not in A} for each element A: the minimal covers of its graph.
 
@@ -287,7 +333,8 @@ def analyze_graph_by_covers(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) 
     The (size, count) histogram counts the whole-graph listing, unmixedness
     comes from the cover sizes, and on an unmixed bipartite graph the
     lattice is the family of the covers' x-parts under the relabeling,
-    validated by the public CoverLattice constructor. The relabeling is
+    validated by the public CoverLattice constructor, and its report is
+    dimension_report_by_listing's. The relabeling is
     redone here from the edge list by dict lookups: side_u ascending is
     x_1..x_n, and y_i is x_i's partner in the matching.
     """
@@ -309,5 +356,5 @@ def analyze_graph_by_covers(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) 
     relabeling = Relabeling(tuple(xs), tuple(matching[v] for v in xs))
     parts = [{i for i, v in enumerate(relabeling.x_source, start=1) if v in c} for c in covers]
     lat = CoverLattice(labeled.n, parts)
-    report = dimension_report(lat)
+    report = dimension_report_by_listing(lat)
     return GraphAnalysis(g, part, counts, unmixed, labeled, relabeling, lat, report)

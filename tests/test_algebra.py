@@ -18,10 +18,18 @@ from coverlattice import (
     rank_exact,
 )
 
-from coverlattice.algebra import _add3, _cover_columns, _rank_bits
+from coverlattice.algebra import (
+    _add3,
+    _downset_counter,
+    _pivot_columns,
+    _rank_bits,
+    _spanning_rows,
+)
 
 from oracles import (
+    cover_columns,
     cover_rows,
+    dimension_report_by_listing,
     hilbert_function,
     multichain_counts_by_subset_order,
     rank_by_minors,
@@ -40,9 +48,9 @@ def _pipeline(lg):
 
 
 def _rows(lat):
-    """The rows (chi_A, 1) of [X | 1] spelled out from the report's columns, bit r as row r."""
-    columns = _cover_columns(lat)
-    return [tuple(c >> r & 1 for c in columns) for r in range(len(lat.masks))]
+    """The rows (chi_A, 1) of [X | 1] spelled out from the listed columns, bit r as row r."""
+    columns = cover_columns(lat.elements, lat.n)
+    return [tuple(c >> r & 1 for c in columns) for r in range(len(lat.elements))]
 
 
 def _cover_matrix(rows):
@@ -51,7 +59,7 @@ def _cover_matrix(rows):
 
 
 class TestBuildMatrices:
-    """_cover_columns reads [X | 1] off the lattice, bit r for element r.
+    """The listing route's cover_columns reads [X | 1] off the lattice, bit r for element r.
 
     The cover matrix [X | 1 - X] becomes [X | 1 ... 1] by adding each x column
     to its y column, so the n x columns and one all-ones column keep its rank.
@@ -59,18 +67,18 @@ class TestBuildMatrices:
 
     def test_complete_bipartite(self):
         covers, lat = _pipeline(K22)
-        assert _cover_columns(lat) == [0b10, 0b10, 0b11]
+        assert cover_columns(lat.elements, lat.n) == [0b10, 0b10, 0b11]
         assert sorted(_cover_matrix(_rows(lat))) == sorted(cover_rows(covers, 2))
 
     def test_matching_row_order(self):
         covers, lat = _pipeline(MATCH2)
-        assert _cover_columns(lat) == [0b1010, 0b1100, 0b1111]
+        assert cover_columns(lat.elements, lat.n) == [0b1010, 0b1100, 0b1111]
         assert _rows(lat) == [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
         assert sorted(_cover_matrix(_rows(lat))) == sorted(cover_rows(covers, 2))
 
     def test_single_edge(self):
         _, lat = _pipeline(EDGE1)
-        assert _cover_columns(lat) == [0b10, 0b11]
+        assert cover_columns(lat.elements, lat.n) == [0b10, 0b11]
 
     def test_first_and_last_rows_are_the_boundary_covers(self):
         rng = random.Random(11)
@@ -252,10 +260,12 @@ class TestDimensionReport:
 
     @staticmethod
     def _assert_ranks_of_the_cover_matrix(lat):
+        """The ranks of the enumerated covers' matrix, and every field of the listing route."""
         rows = cover_rows(enumerate_minimal_covers(as_graph(graph_from_lattice(lat))), lat.n)
         report = dimension_report(lat)
         assert report.rank_full == rank_exact(rows)
         assert report.rank_truncated == rank_exact([row[: lat.n] for row in rows])
+        assert report == dimension_report_by_listing(lat)
 
     def test_ranks_equal_those_of_the_2n_column_matrix_exhaustive(self):
         checked = 0
@@ -290,6 +300,70 @@ class TestDimensionReport:
         assert "dimension=2" in text
         assert "lattice_rank=1" in text
         assert "cohen_macaulay=no" in text
+
+
+class TestCountedGram:
+    """The pieces of dimension_report that never list an element of the lattice."""
+
+    @staticmethod
+    def _lattices():
+        return [lat for n in (1, 2, 3, 4) for lat in enumerate_sublattices(n)]
+
+    def test_counted_gram_is_the_listed_gram_and_one_pass_ranks_it(self):
+        for lat in self._lattices():
+            n, count = lat.n, _downset_counter(lat.pred)
+            need = [*lat.pred, 0]
+            gram = [[count(((1 << n) - 1) & ~(a | b)) for b in need] for a in need]
+            columns = cover_columns(lat.elements, n)
+            assert gram == [[(a & b).bit_count() for b in columns] for a in columns]
+            pivots = _pivot_columns(gram)
+            leading = rank_exact([row[:n] for row in gram[:n]])
+            assert sum(c < n for c in pivots) == leading == dimension_report(lat).rank_truncated
+            assert len(pivots) == rank_exact(gram) == dimension_report(lat).rank_full
+
+    @given(st.integers(1, 7), st.integers(0, 14), st.integers(0, 2**32 - 1), st.data())
+    @settings(deadline=None)
+    def test_downset_count_of_any_point_set(self, n, generators, seed, data):
+        # the split holds on every set of points, convex or not
+        lat = random_sublattice(n, generators, seed)
+        points = data.draw(st.integers(0, (1 << n) - 1))
+        restricted = {m & points for m in lat.masks}
+        brute = sum(
+            all(s >> j & 1 == 0 or lat.pred[j] & points & ~s == 0 for j in range(n))
+            for s in range(1 << n)
+            if s & ~points == 0
+        )
+        assert _downset_counter(lat.pred)(points) == brute == len(restricted)
+
+    def test_spanning_rows_have_the_rank_of_every_row(self):
+        checked = 0
+        for lat in self._lattices():
+            n = lat.n
+            rows = _spanning_rows(lat.pred)
+            all_rows = [m | 1 << n for m in lat.masks]
+            assert set(rows) <= set(all_rows)  # rows of [X | 1]
+            assert len(rows) <= 2 * len(set(lat.pred)) + 1
+            spanning = [[r >> k & 1 for k in range(n + 1)] for r in rows]
+            listed = [[r >> k & 1 for k in range(n + 1)] for r in all_rows]
+            for p in (2, 3):
+                assert _rank_bits(rows, p) == rank_mod(listed, p) == rank_by_minors(spanning, p)
+            assert rank_by_minors(spanning) == rank_exact(listed) == rank_mod(listed, 5)
+            checked += 1
+        assert checked == 389
+
+    @given(st.integers(0, 10_000), st.sampled_from([(0, 1), (-3, 3)]))
+    @settings(deadline=None)
+    def test_pivots_before_column_k_rank_the_leading_block(self, seed, entries):
+        # the first k columns of M^T M are M^T M_k, whose null space is M_k's
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 7), rng.randint(1, 6)
+        m = [[rng.randint(*entries) for _ in range(cols)] for _ in range(rows)]
+        gram = [[sum(r[a] * r[b] for r in m) for b in range(cols)] for a in range(cols)]
+        pivots = _pivot_columns(gram)
+        assert len(pivots) == rank_exact(gram)
+        for k in range(cols + 1):
+            leading = rank_exact([row[:k] for row in gram[:k]])
+            assert sum(c < k for c in pivots) == leading == rank_by_minors([r[:k] for r in m])
 
 
 class TestGrowth:

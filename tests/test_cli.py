@@ -196,6 +196,60 @@ class TestDim:
         assert '"rank_full_mod2": 2' in captured.err
 
 
+class TestCountedRoute:
+    """check and dim count the lattice from the graph's preorder and list no element."""
+
+    M12 = "".join(f"{2 * i + 1} {2 * i + 2}\n" for i in range(12))
+    CLASS2 = "n=2\n1 1\n2 2\n1 2\n2 1\n"  # the preorder has the one class {1, 2}
+    EXPECTED = {
+        (M12, "check"): "bipartite=yes unmixed=yes covers=4096 cm=yes\n",
+        (M12, "dim"): (
+            "n=12\ncovers=4096\nrank_full=13\nrank_truncated=12\nlattice_rank=12\n"
+            "dimension=13\ndim_matches_lattice_rank=yes\ncohen_macaulay=yes\n"
+            "rank_full_mod2=13\nrank_full_mod3=13\n"
+        ),
+        (CLASS2, "check"): "bipartite=yes unmixed=yes covers=2 cm=no\n",
+        (CLASS2, "dim"): (
+            "n=2\ncovers=2\nrank_full=2\nrank_truncated=1\nlattice_rank=1\n"
+            "dimension=2\ndim_matches_lattice_rank=yes\ncohen_macaulay=no\n"
+            "rank_full_mod2=2\nrank_full_mod3=2\n"
+        ),
+    }
+
+    def _outputs(self, write, capsys):
+        outputs = {}
+        for text, command in self.EXPECTED:
+            path = write("g.txt", text)
+            for argv in ([command, path], [command, "--format", "json", path]):
+                assert main(argv) == 0
+                outputs[text, *argv[:-1]] = capsys.readouterr().out
+        return outputs
+
+    def test_check_and_dim_list_no_element(self, write, capsys, monkeypatch):
+        from coverlattice import lattice
+
+        unpatched = self._outputs(write, capsys)
+        for (text, command), expected in self.EXPECTED.items():
+            assert unpatched[text, command] == expected
+
+        def refuse(pred, limit):
+            raise AssertionError("a down-set was listed")
+
+        monkeypatch.setattr(lattice, "_downsets", refuse)
+        assert self._outputs(write, capsys) == unpatched
+
+    def test_lattice_and_dot_still_list_every_element(self, write, tmp_path, capsys):
+        path = write("g.txt", self.M12)
+        assert main(["lattice", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n=12" and len(set(lines[1:])) == 4096
+        dot = tmp_path / "m12d.dot"
+        assert main(["dim", path, "--dot", str(dot)]) == 0
+        assert capsys.readouterr().out == self.EXPECTED[self.M12, "dim"]
+        nodes = [line for line in dot.read_text().splitlines() if line.startswith('  "{')]
+        assert sum("->" not in line for line in nodes) == 4096
+
+
 class TestLattice:
     def test_emits_lattice_file(self, write, capsys):
         assert main(["lattice", write("g.txt", "1 2\n3 4\n")]) == 0

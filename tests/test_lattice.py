@@ -137,6 +137,22 @@ class TestConstruction:
         assert public != lat(3, (), {1}, {1, 2}, {1, 2, 3})
         assert "elements" not in vars(public) and "elements" not in vars(built)
 
+    def test_preorder_lattice_equals_its_parsed_twin_and_lists_masks_on_first_read(self):
+        # the class {1, 2} below 3
+        built = CoverLattice._from_preorder(3, [0b011, 0b011, 0b111])
+        parsed = parse_lattice("n=3\n{}\n1,2\n1,2,3\n")
+        assert built == parsed and hash(built) == hash(parsed)
+        assert "masks" not in vars(built)  # equality and hash read n and pred only
+        assert "masks" in vars(parsed)  # kept from the parsed family
+        assert built.masks == parsed.masks == (0b000, 0b011, 0b111)
+        assert vars(built)["masks"] is built.masks
+        for n in (1, 2, 3, 4):
+            for b in enumerate_sublattices(n):
+                twin = parse_lattice(format_lattice(b))
+                fresh = CoverLattice._from_preorder(n, list(b.pred))
+                assert b == twin == fresh and hash(b) == hash(twin) == hash(fresh)
+                assert "masks" not in vars(fresh)
+
     def test_elements_are_the_masks_built_on_first_read(self):
         built = random_sublattice(6, 5, 123)
         assert "elements" not in vars(built)
