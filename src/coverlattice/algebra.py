@@ -32,13 +32,13 @@ instance.
 The Gram identity fails over a field of characteristic p (a nonzero vector
 can have |Mv|^2 = 0 there), so the ranks over GF(2) and GF(3), which on a
 cover matrix equal the rank over the rationals, come from elimination on
-at most 2v + 1 rows (chi_A, 1) of [X | 1], v the number of classes of the
-preorder (each the points sharing one pred entry): A is the empty set,
-each pred[k], and each pred[k] less the class of k. Each class indicator
-is the difference of the last two, and every down-set is a disjoint union
-of classes, so these rows span every row of [X | 1] over every field. The
-rows are packed as bitmasks: XORs over GF(2), and bit-sliced (ones, twos)
-mask pairs over GF(3). No rank over a general GF(p) is computed here; the
+v + 1 rows (chi_A, 1) of [X | 1], v the number of classes of the preorder
+(each the points sharing one pred entry): A is the empty set and each
+distinct pred[k]. Every down-set is a union of classes, so [X | 1] has
+rank at most v + 1, and on the 1 and one point per class, the classes in
+a linear extension, these rows are unitriangular: rank v + 1 over every
+field. The rows are packed as bitmasks: XORs over GF(2), and bit-sliced
+(ones, twos) mask pairs over GF(3). No rank over a general GF(p) is computed here; the
 tests hold that one, as the reference for the bit elimination, and the
 listing route over all |L| rows as the reference for the report.
 
@@ -177,17 +177,17 @@ def _downset_counter(pred: Sequence[int]) -> Callable[[int], int]:
 def _spanning_rows(pred: Sequence[int]) -> list[int]:
     """Rows (chi_A, 1) of [X | 1] with its rank over every field, bit n for the 1.
 
-    A is the empty set, each pred[k] and each pred[k] less the class of k
-    (the points with pred equal to pred[k]): at most 2v + 1 down-sets for v
-    classes. Each class indicator is the difference of the last two rows,
-    and every down-set is a disjoint union of classes, so every row of
-    [X | 1] is the empty set's row plus class rows.
+    A is the empty set and each distinct pred[k]: v + 1 down-sets for v
+    classes (a class is the points with one pred). Every down-set is a
+    union of classes, so [X | 1] has at most v + 1 distinct columns, and
+    rank at most v + 1. Take the column of the 1 and one point per class,
+    the classes in a linear extension of the preorder: the empty set's row
+    meets them in the 1 alone, and the row of pred[k] holds its own class's
+    point, the 1 and otherwise only points of classes below it. These rows
+    are unitriangular there, so they have rank v + 1 over every field.
     """
-    classes: dict[int, int] = {}
-    for j, p in enumerate(pred):
-        classes[p] = classes.get(p, 0) | 1 << j
     one = 1 << len(pred)
-    return sorted({one} | {p | one for p in classes} | {p & ~c | one for p, c in classes.items()})
+    return sorted({one} | {p | one for p in pred})
 
 
 @dataclass(frozen=True)

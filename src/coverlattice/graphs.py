@@ -3,8 +3,11 @@
 Vertices are 1-based everywhere, matching the file formats. All types are
 immutable and every function is pure, so concurrent callers need no
 synchronization. A set is held as an int mask, bit i - 1 for member i;
-_bits, _to_mask, _mask_to_set and the canonical order _canonical serve the
-whole package. Graph._nbr, built on first read, is a graph's one
+_bits, _to_mask and _mask_to_set serve the whole package. The canonical
+order _canonical sorts masks that do not come from a preorder's search:
+the certificate scan of a refused family, the minimal covers and the sets
+in error details (a lattice's masks take the same order from
+lattice._downsets). Graph._nbr, built on first read, is a graph's one
 neighbour-mask list, and _components its one component walk.
 """
 

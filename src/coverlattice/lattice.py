@@ -6,18 +6,28 @@ down-sets of one preorder on {1..n}: pred[j], the intersection of the
 members that contain j, holds the elements at or below j. CoverLattice
 accepts a family only if it equals the down-sets of its own preorder, and
 keeps pred; parse_lattice builds the masks as it reads and hands them to
-that check through CoverLattice._from_masks, which keeps them too.
+that check through CoverLattice._from_masks, which keeps them too, in the
+order the check listed them.
+
 Producers that hold a preorder, such as a labeled graph's edges
 (_edge_preorder), use CoverLattice._from_preorder, which tests the
 relation with _is_preorder and lists no down-set: the masks are listed on
 first read, and the dimension report never reads them. The rank is the
 number of distinct pred[j], and the inverse graph writes pred out as edges.
+
+_downsets lists the down-sets by one binary search that branches on the
+lowest undecided point x and takes the branch with x first. Two down-sets
+agree below the lowest point where they differ, and the one holding it
+comes first: within each size, that is the canonical order, so a stable
+sort by size (a C-level key) puts the list in canonical order. The search
+has 2|L| - 1 nodes. format_lattice writes each element's line as the
+memoised line of the element less its top member plus one label.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
@@ -70,26 +80,51 @@ class ClosureCertificate:
 
 
 def _preorder(masks: Collection[int], points: int) -> list[int]:
-    """The intersection of the members that contain point j + 1, for each j in points."""
-    pred = []
+    """pred[j]: the intersection of the members that contain point j + 1, for each j in points.
+
+    pred is indexed by bit position and is 0 at every position outside points.
+    """
+    pred = [0] * points.bit_length()
     for j in _bits(points):
         p = points
         for a in masks:
             if a >> j & 1:
                 p &= a
-        pred.append(p)
+        pred[j] = p
     return pred
 
 
-def _downsets(pred: Collection[int], limit: int) -> set[int] | None:
-    """The down-sets of pred: the empty set and every union of the pred[j].
+def _downsets(pred: Sequence[int], limit: int) -> list[int] | None:
+    """The down-sets of the preorder pred on the union of the pred[j], each once.
 
-    Returns None as soon as there are more than limit of them, so the work
-    stays O(n * limit) however many down-sets the preorder has.
+    A binary search: each node branches on its lowest undecided point x. The
+    branch with x takes pred[x]; the branch without x drops every point above
+    x. Both end in a down-set, so the search has 2|L| - 1 nodes. Two
+    down-sets agree on every point below the lowest point where they differ,
+    and the one that holds that point, from the branch with it, comes first.
+    Stable-sorted by size, the list is therefore in canonical order.
+
+    pred is indexed by bit position. Returns None as soon as there are more
+    than limit of them, so the work stays O(n^2 + limit) steps however many
+    down-sets the preorder has. Each branch decides x, so the search ends on
+    any relation, a preorder or not.
     """
-    found = {0}
-    for p in set(pred):
-        found |= {d | p for d in found}
+    above = [0] * len(pred)
+    for j, p in enumerate(pred):
+        for i in _bits(p):
+            above[i] |= 1 << j
+    found: list[int] = []
+    stack = [(0, reduce(or_, pred, 0))]
+    while stack:
+        chosen, undecided = stack.pop()
+        while undecided:  # take the branch with x at once; the one without waits
+            low = undecided & -undecided
+            x = low.bit_length() - 1
+            p = pred[x]
+            stack.append((chosen, undecided & ~(above[x] | low)))
+            chosen |= p
+            undecided &= ~(p | low)
+        found.append(chosen)
         if len(found) > limit:
             return None
     return found
@@ -111,12 +146,18 @@ def _edge_preorder(lg: LabeledBipartiteGraph) -> list[int]:
     return pred
 
 
-def _lattice_preorder(masks: set[int], points: int) -> list[int] | None:
-    """The preorder of distinct masks within points, or None unless they are its down-sets."""
+def _lattice_preorder(masks: set[int], points: int) -> tuple[list[int], list[int]] | None:
+    """The preorder of distinct masks within points and its down-sets as _downsets lists them.
+
+    None unless the masks are exactly those down-sets.
+    """
     if 0 not in masks or points not in masks:  # down-sets hold both; test before n x n bits
         return None
     pred = _preorder(masks, points)
-    return pred if _downsets(pred, len(masks)) == masks else None
+    found = _downsets(pred, len(masks))
+    if found is None or len(found) != len(masks) or not masks.issuperset(found):
+        return None
+    return pred, found
 
 
 def _element_masks(elements: Iterable[Iterable[int]], n: int) -> set[int]:
@@ -204,19 +245,23 @@ class CoverLattice:
         return lat
 
     def _hold(self, n: int, masks: set[int]) -> None:
-        """Keep masks and the family's own pred, or raise LatticeError."""
-        pred = _lattice_preorder(masks, (1 << n) - 1)
-        if pred is None:
+        """Keep the family, in canonical order, and its own pred, or raise LatticeError."""
+        held = _lattice_preorder(masks, (1 << n) - 1)
+        if held is None:
             cert = _certificate(masks, n)
             raise LatticeError(f"not a bounded sublattice: {cert}", certificate=cert)
+        pred, found = held
+        found.sort(key=int.bit_count)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pred", tuple(pred))
-        object.__setattr__(self, "masks", tuple(_canonical(masks, n)))
+        object.__setattr__(self, "masks", tuple(found))
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
         """The elements as bitmasks in canonical order: the down-sets of pred."""
-        return tuple(_canonical(_downsets(self.pred, 1 << self.n), self.n))
+        found = _downsets(self.pred, 1 << self.n)
+        found.sort(key=int.bit_count)  # stable: by size, then in the search's order
+        return tuple(found)
 
     @cached_property
     def elements(self) -> tuple[frozenset[int], ...]:
@@ -285,8 +330,8 @@ def enumerate_sublattices(n: int) -> Iterator[CoverLattice]:
     middle = list(range(1, full))
     for combo in range(1 << len(middle)):
         family = {0, full, *(m for t, m in enumerate(middle) if combo >> t & 1)}
-        if (pred := _lattice_preorder(family, full)) is not None:
-            yield CoverLattice._from_preorder(n, pred)
+        if (held := _lattice_preorder(family, full)) is not None:
+            yield CoverLattice._from_preorder(n, held[0])
 
 
 def random_sublattice(n: int, generator_count: int, seed: int) -> CoverLattice:
@@ -305,14 +350,45 @@ def random_sublattice(n: int, generator_count: int, seed: int) -> CoverLattice:
     return CoverLattice._from_preorder(n, _preorder(drawn, (1 << n) - 1))
 
 
+def _element_text(m: int, texts: dict[int, str], labels: Sequence[str]) -> str:
+    """The text of mask m: the text of m less its top member, then that member's label.
+
+    texts memoises every mask written so far and holds 0; each label carries
+    its leading comma. A loop at module level: no call leaves a reference
+    cycle for the garbage collector, and no chain of masks missing from texts
+    meets the recursion limit.
+    """
+    tops = []
+    while m not in texts:
+        top = m.bit_length() - 1
+        tops.append(top)
+        m ^= 1 << top
+    text = texts[m]
+    for top in reversed(tops):
+        m |= 1 << top
+        text = texts[m] = text + labels[top]
+    return text
+
+
 def format_lattice(lat: CoverLattice) -> str:
     """Lattice file: "n=<n>" header, then one element per line.
 
-    Elements are comma-separated sorted indices; the empty set prints as {}.
+    Elements are comma-separated sorted indices; the empty set, first in
+    canonical order, prints as {}. Each line extends the memoised text of
+    the element less its top member, which is most often an element already
+    written, by one label made once per call.
     """
-    lines = [f"n={lat.n}"]
-    for m in lat.masks:
-        lines.append(",".join(str(i + 1) for i in _bits(m)) if m else "{}")
+    texts = {0: ""}
+    labels = [f",{i}" for i in range(1, lat.n + 1)]
+    lines = [f"n={lat.n}", "{}"]
+    for m in lat.masks[1:]:
+        top = m.bit_length() - 1
+        rest = m ^ 1 << top
+        head = texts.get(rest)
+        if head is None:
+            head = _element_text(rest, texts, labels)
+        text = texts[m] = head + labels[top]
+        lines.append(text[1:])
     return "\n".join(lines) + "\n"
 
 

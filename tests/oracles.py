@@ -9,7 +9,10 @@ adjacency-matrix powers, chain length and multichain counts come from
 dynamic programming over the full subset order, the sublattice a family
 generates comes from adding pairwise unions and intersections until nothing
 changes, the preorder of a lattice comes from intersecting the members that
-contain each point, Hasse diagrams come from testing every triple of
+contain each point, the down-sets of a relation come from closing the
+empty set under union with each pred[j], the lattice file comes from
+sorting those down-sets by (size, sorted members) and joining each one's
+members bit by bit, Hasse diagrams come from testing every triple of
 elements, cover matrix rows come
 from the enumerated covers, and the Hilbert function of the cover semigroup
 ring comes from collecting every distinct sum of t rows. Two oracles are
@@ -239,6 +242,30 @@ def preorder_by_intersection(elements, n: int) -> list[frozenset[int]]:
         frozenset.intersection(*(frozenset(e) for e in elements if j in e))
         for j in range(1, n + 1)
     ]
+
+
+def downsets_by_unions(pred, limit: int) -> set[int] | None:
+    """The empty set and every union of the pred[j]; None past limit of them.
+
+    For a preorder these are its down-sets; for any relation, the sets its
+    rows generate under union.
+    """
+    found = {0}
+    for p in set(pred):
+        found |= {d | p for d in found}
+        if len(found) > limit:
+            return None
+    return found
+
+
+def format_lattice_by_bits(lat: CoverLattice) -> str:
+    """The lattice file of lat: its down-sets by (size, sorted members), one per line."""
+    members = [
+        [i + 1 for i in range(lat.n) if m >> i & 1] for m in downsets_by_unions(lat.pred, 1 << lat.n)
+    ]
+    members.sort(key=lambda e: (len(e), e))
+    lines = [",".join(str(i) for i in e) if e else "{}" for e in members]
+    return "\n".join([f"n={lat.n}", *lines]) + "\n"
 
 
 def cover_rows(covers, n: int) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -23,6 +24,8 @@ from coverlattice.lattice import MAX_LATTICE_N, _downsets, _is_preorder, _preord
 from oracles import (
     brute_force_closure,
     brute_force_hasse,
+    downsets_by_unions,
+    format_lattice_by_bits,
     lattice_covers,
     longest_chain_cardinality,
     preorder_by_intersection,
@@ -126,7 +129,8 @@ class TestConstruction:
             for k in range(n):
                 pred = [p | pred[k] if p >> k & 1 else p for p in pred]
             assert _is_preorder(pred)
-        assert _is_preorder(pred) == (_preorder(_downsets(pred, 1 << n), (1 << n) - 1) == pred)
+        downsets = downsets_by_unions(pred, 1 << n)
+        assert _is_preorder(pred) == (_preorder(downsets, (1 << n) - 1) == pred)
 
     def test_public_and_preorder_constructions_are_equal(self):
         # {} <= {1} <= {1,2,3}, {1,2}, {1,3}: 2 and 3 both sit above 1
@@ -177,6 +181,79 @@ class TestConstruction:
             lat(2, (), {1, 5}, {4}, {3}, {1, 2})
         with pytest.raises(LatticeError, match="need n >= 1"):
             lat(0, {1})
+
+
+def _relations(n):
+    """Relations on n points as rows: pred[j] is the set of i with i <= j + 1."""
+    return st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+
+
+def _closure(rows):
+    """The least preorder holding the relation: add j <= j, then close transitively."""
+    pred = [p | 1 << j for j, p in enumerate(rows)]
+    for k in range(len(pred)):
+        pred = [p | pred[k] if p >> k & 1 else p for p in pred]
+    return pred
+
+
+class _CountedReads(list):
+    """A relation that fails once the search has read more than budget of its rows."""
+
+    def __init__(self, rows, budget):
+        super().__init__(rows)
+        self.budget = budget
+
+    def __getitem__(self, k):
+        self.budget -= 1
+        assert self.budget >= 0, "the search did not end"
+        return super().__getitem__(k)
+
+
+class TestDownsetSearch:
+    """_downsets lists each down-set once, in the order that makes canonical order by size."""
+
+    @staticmethod
+    def _check(pred):
+        found = _downsets(pred, 1 << len(pred))
+        assert len(found) == len(set(found))
+        assert set(found) == downsets_by_unions(pred, 1 << len(pred))
+        for a, b in zip(found, found[1:]):
+            differ = a ^ b
+            assert a & differ & -differ  # the first holds the lowest point where they differ
+        found.sort(key=int.bit_count)
+        assert found == _canonical(found, len(pred))
+
+    def test_every_preorder_up_to_four_points(self):
+        preorders = [list(b.pred) for n in (1, 2, 3, 4) for b in enumerate_sublattices(n)]
+        assert len(preorders) == 389
+        for pred in preorders:
+            self._check(pred)
+
+    @given(st.integers(1, 10).flatmap(_relations).map(_closure))
+    @settings(deadline=None)
+    def test_random_preorders_up_to_ten_points(self, pred):
+        assert _is_preorder(pred)
+        self._check(pred)
+
+    def test_stops_past_the_limit(self):
+        boolean = [1 << j for j in range(10)]
+        assert _downsets(boolean, 1023) is None
+        assert len(_downsets(boolean, 1024)) == 1024
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_ends_on_relations_that_are_not_reflexive(self, n):
+        full = (1 << n) - 1
+        irreflexive = [full ^ 1 << j for j in range(n)]
+        cycle = [1 << (j + 1) % n for j in range(n)]
+        for rows in (irreflexive, cycle, [full] * n):
+            pred = _CountedReads(rows, 1 << n)  # one read per branching node, < 2^n of them
+            assert len(_downsets(pred, 1 << n)) <= 1 << n
+
+    @given(st.integers(1, 8).flatmap(_relations))
+    @settings(deadline=None)
+    def test_ends_on_any_relation(self, rows):
+        n = len(rows)
+        assert len(_downsets(_CountedReads(rows, 1 << n), 1 << n)) <= 1 << n
 
 
 class TestIsSublattice:
@@ -446,10 +523,54 @@ class TestModularIndicatorIdentity:
                             assert lhs == rhs
 
 
+def _first_difference(text, expected):
+    """None if the texts are equal, else (line number, line, expected line) where they first differ.
+
+    A short report: pytest's own diff of two texts of 65537 lines takes minutes.
+    """
+    if text == expected:
+        return None
+    lines, wanted = text.split("\n"), expected.split("\n")
+    shorter = min(len(lines), len(wanted))
+    k = next((k for k in range(shorter) if lines[k] != wanted[k]), shorter)
+    return k + 1, lines[k : k + 1], wanted[k : k + 1]
+
+
 class TestSerialization:
     def test_format(self):
         text = format_lattice(lat(2, (), {1}, {1, 2}))
         assert text == "n=2\n{}\n1\n1,2\n"
+
+    def test_format_matches_the_bitwise_oracle_on_all_small_lattices(self):
+        built = [b for n in (1, 2, 3, 4) for b in enumerate_sublattices(n)]
+        assert len(built) == 389
+        for b in built:
+            assert _first_difference(format_lattice(b), format_lattice_by_bits(b)) is None
+
+    @given(st.integers(1, 16), st.integers(0, 24), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_format_matches_the_bitwise_oracle_on_random_lattices(self, n, generators, seed):
+        built = random_sublattice(n, generators, seed)
+        assert _first_difference(format_lattice(built), format_lattice_by_bits(built)) is None
+
+    def test_format_matches_the_bitwise_oracle_on_the_boolean_lattice(self):
+        built = CoverLattice._from_preorder(16, [1 << j for j in range(16)])
+        text = format_lattice(built)
+        assert text.count("\n") == 65537
+        assert _first_difference(text, format_lattice_by_bits(built)) is None
+
+    def test_format_and_masks_leave_no_reference_cycle(self):
+        # a cycle would hold each call's memo until the cyclic collector ran
+        boolean = [1 << j for j in range(12)]
+        built = CoverLattice._from_preorder(12, boolean)
+        gc.collect()
+        gc.disable()
+        try:
+            format_lattice(built)
+            CoverLattice._from_preorder(12, boolean).masks
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_parse_round_trip(self):
         rng = random.Random(3)
