@@ -38,9 +38,10 @@ distinct pred[k]. Every down-set is a union of classes, so [X | 1] has
 rank at most v + 1, and on the 1 and one point per class, the classes in
 a linear extension, these rows are unitriangular: rank v + 1 over every
 field. The rows are packed as bitmasks: XORs over GF(2), and bit-sliced
-(ones, twos) mask pairs over GF(3). No rank over a general GF(p) is computed here; the
-tests hold that one, as the reference for the bit elimination, and the
-listing route over all |L| rows as the reference for the report.
+(ones, twos) mask pairs over GF(3). No rank over a general GF(p) is
+computed here; the tests hold that one, as the reference for the bit
+elimination, and the listing route over all |L| rows as the reference for
+the report.
 
 The semigroup ring is the Hibi ring of the cover lattice L (Hibi 1987;
 Herzog-Hibi-Ohsugi, arXiv:0811.0747): its degree-t monomials correspond to

@@ -21,7 +21,8 @@ agree below the lowest point where they differ, and the one holding it
 comes first: within each size, that is the canonical order, so a stable
 sort by size (a C-level key) puts the list in canonical order. The search
 has 2|L| - 1 nodes. format_lattice writes each element's line as the
-memoised line of the element less its top member plus one label.
+line of the element less its top member plus one label, reading that line
+from the elements already written when the set is one of them.
 """
 
 from __future__ import annotations
@@ -350,33 +351,15 @@ def random_sublattice(n: int, generator_count: int, seed: int) -> CoverLattice:
     return CoverLattice._from_preorder(n, _preorder(drawn, (1 << n) - 1))
 
 
-def _element_text(m: int, texts: dict[int, str], labels: Sequence[str]) -> str:
-    """The text of mask m: the text of m less its top member, then that member's label.
-
-    texts memoises every mask written so far and holds 0; each label carries
-    its leading comma. A loop at module level: no call leaves a reference
-    cycle for the garbage collector, and no chain of masks missing from texts
-    meets the recursion limit.
-    """
-    tops = []
-    while m not in texts:
-        top = m.bit_length() - 1
-        tops.append(top)
-        m ^= 1 << top
-    text = texts[m]
-    for top in reversed(tops):
-        m |= 1 << top
-        text = texts[m] = text + labels[top]
-    return text
-
-
 def format_lattice(lat: CoverLattice) -> str:
     """Lattice file: "n=<n>" header, then one element per line.
 
     Elements are comma-separated sorted indices; the empty set, first in
-    canonical order, prints as {}. Each line extends the memoised text of
-    the element less its top member, which is most often an element already
-    written, by one label made once per call.
+    canonical order, prints as {}. Each line is the text of the element less
+    its top member, then that member's label, with labels made once per call.
+    That text is looked up among the elements already written; when the set
+    is not an element, its labels are joined and the text is not kept, so
+    the lookup table holds the elements only.
     """
     texts = {0: ""}
     labels = [f",{i}" for i in range(1, lat.n + 1)]
@@ -386,7 +369,7 @@ def format_lattice(lat: CoverLattice) -> str:
         rest = m ^ 1 << top
         head = texts.get(rest)
         if head is None:
-            head = _element_text(rest, texts, labels)
+            head = "".join([labels[i] for i in _bits(rest)])
         text = texts[m] = head + labels[top]
         lines.append(text[1:])
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -559,8 +560,25 @@ class TestSerialization:
         assert text.count("\n") == 65537
         assert _first_difference(text, format_lattice_by_bits(built)) is None
 
+    def test_format_of_reversed_chains_matches_the_oracle_in_memory_near_its_output(self):
+        # two chains of 40 points whose least point has the highest index: for
+        # nearly every element, the element less its top member is not one
+        k = 40
+        pred = [sum(1 << c * k + i for i in range(j, k)) for c in (0, 1) for j in range(k)]
+        built = CoverLattice._from_preorder(2 * k, pred)
+        built.masks
+        tracemalloc.start()
+        try:
+            text = format_lattice(built)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == 1 + (k + 1) ** 2
+        assert _first_difference(text, format_lattice_by_bits(built)) is None
+        assert peak < 10 * len(text)
+
     def test_format_and_masks_leave_no_reference_cycle(self):
-        # a cycle would hold each call's memo until the cyclic collector ran
+        # a cycle would hold each call's table of lines until the cyclic collector ran
         boolean = [1 << j for j in range(12)]
         built = CoverLattice._from_preorder(12, boolean)
         gc.collect()
