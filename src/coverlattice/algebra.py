@@ -29,19 +29,14 @@ Both are tied to the lattice rank, and any failure of the identities
 between those quantities raises an InconsistencyError carrying the full
 instance.
 
-The Gram identity fails over a field of characteristic p (a nonzero vector
-can have |Mv|^2 = 0 there), so the ranks over GF(2) and GF(3), which on a
-cover matrix equal the rank over the rationals, come from elimination on
-v + 1 rows (chi_A, 1) of [X | 1], v the number of classes of the preorder
-(each the points sharing one pred entry): A is the empty set and each
-distinct pred[k]. Every down-set is a union of classes, so [X | 1] has
-rank at most v + 1, and on the 1 and one point per class, the classes in
-a linear extension, these rows are unitriangular: rank v + 1 over every
-field. The rows are packed as bitmasks: XORs over GF(2), and bit-sliced
-(ones, twos) mask pairs over GF(3). No rank over a general GF(p) is
-computed here; the tests hold that one, as the reference for the bit
-elimination, and the listing route over all |L| rows as the reference for
-the report.
+The ranks over GF(2) and GF(3) need no elimination of their own: they are
+v + 1 for the v classes of the preorder (each the points sharing one pred
+entry), and v is the lattice rank. Every down-set is a union of classes,
+so [X | 1] has at most v + 1 distinct columns. Its rows (chi_A, 1) for A
+the empty set and each distinct pred[k], restricted to the 1 and one point
+per class with the classes in a linear extension, are unitriangular, so
+they have rank v + 1 over every field. The tests take both ranks by
+elimination mod p over every listed row.
 
 The semigroup ring is the Hibi ring of the cover lattice L (Hibi 1987;
 Herzog-Hibi-Ohsugi, arXiv:0811.0747): its degree-t monomials correspond to
@@ -118,37 +113,6 @@ def rank_exact(rows: Sequence[Sequence[int]]) -> int:
     return len(_pivot_columns(rows))
 
 
-def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
-    """Entrywise sum over GF(3) of two vectors, each a (ones, twos) pair of disjoint masks."""
-    t = (a1 | b2) ^ (a2 | b1)
-    return (a2 | b2) ^ t, (a1 | b1) ^ t
-
-
-def _rank_bits(columns: Sequence[int], p: int) -> int:
-    """Rank over GF(p), p = 2 or 3, of 0/1 vectors given as bitmasks.
-
-    Each pivot is kept under its top bit. A new vector is reduced by the
-    pivots from the highest top down, which clears every pivot's top bit in
-    it; what is left, if nonzero, is a new pivot. Over GF(3) a vector is a
-    (ones, twos) pair and each pivot is scaled to hold 1 at its top, so a
-    vector holding 1 there subtracts it (adds the swapped pair) and one
-    holding 2 adds it.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    for ones in columns:
-        twos = 0
-        for top in sorted(pivots, reverse=True):
-            b1, b2 = pivots[top]
-            if ones >> top & 1:
-                ones, twos = (ones ^ b1, 0) if p == 2 else _add3(ones, twos, b2, b1)
-            elif twos >> top & 1:
-                ones, twos = _add3(ones, twos, b1, b2)
-        if ones | twos:
-            top = (ones | twos).bit_length() - 1
-            pivots[top] = (ones, twos) if ones >> top & 1 else (twos, ones)
-    return len(pivots)
-
-
 def _downset_counter(pred: Sequence[int]) -> Callable[[int], int]:
     """N(S), the number of down-sets of the preorder pred restricted to the points of S.
 
@@ -175,28 +139,12 @@ def _downset_counter(pred: Sequence[int]) -> Callable[[int], int]:
     return count
 
 
-def _spanning_rows(pred: Sequence[int]) -> list[int]:
-    """Rows (chi_A, 1) of [X | 1] with its rank over every field, bit n for the 1.
-
-    A is the empty set and each distinct pred[k]: v + 1 down-sets for v
-    classes (a class is the points with one pred). Every down-set is a
-    union of classes, so [X | 1] has at most v + 1 distinct columns, and
-    rank at most v + 1. Take the column of the 1 and one point per class,
-    the classes in a linear extension of the preorder: the empty set's row
-    meets them in the 1 alone, and the row of pred[k] holds its own class's
-    point, the 1 and otherwise only points of classes below it. These rows
-    are unitriangular there, so they have rank v + 1 over every field.
-    """
-    one = 1 << len(pred)
-    return sorted({one} | {p | one for p in pred})
-
-
 @dataclass(frozen=True)
 class DimensionReport:
     """Every rank and dimension quantity of one instance, cross-checked.
 
     rank_full_mod2 and rank_full_mod3 are the ranks of the cover matrix over
-    GF(2) and GF(3); the report checks that both equal rank_full.
+    GF(2) and GF(3), lattice_rank + 1 by the module's argument.
     """
 
     n: int
@@ -219,9 +167,8 @@ def dimension_report(lat: CoverLattice) -> DimensionReport:
     """Compute the report and verify the identities tying its fields together.
 
     Required on every valid instance:
-    rank_full = rank_truncated + 1, rank_truncated = lattice rank (so the
-    dimension, rank_full, is lattice rank + 1), and the ranks over GF(2) and
-    GF(3) equal rank_full. Any violation raises
+    rank_full = rank_truncated + 1 and rank_truncated = lattice rank, so the
+    dimension, rank_full, is lattice rank + 1. Any violation raises
     InconsistencyError with the whole instance attached; on genuine inputs
     that never happens, so a raise is a bug alarm worth keeping loud.
     """
@@ -236,9 +183,6 @@ def dimension_report(lat: CoverLattice) -> DimensionReport:
     pivots = _pivot_columns(gram)
     rank_full = len(pivots)
     rank_trunc = sum(col < n for col in pivots)
-    rows = _spanning_rows(pred)
-    mod2 = _rank_bits(rows, 2)
-    mod3 = _rank_bits(rows, 3)
     lattice_rank = rank(lat)
     dimension = rank_full
     cm = lattice_rank == lat.n
@@ -247,11 +191,6 @@ def dimension_report(lat: CoverLattice) -> DimensionReport:
         problems.append(f"rank_full={rank_full} is not rank_truncated+1={rank_trunc + 1}")
     if rank_trunc != lattice_rank:
         problems.append(f"rank_truncated={rank_trunc} differs from lattice_rank={lattice_rank}")
-    if mod2 != rank_full or mod3 != rank_full:
-        problems.append(
-            f"characteristic-p ranks {mod2} (p=2) and {mod3} (p=3) "
-            f"differ from rank_full={rank_full}"
-        )
     if problems:
         raise InconsistencyError(
             "; ".join(problems),
@@ -262,8 +201,6 @@ def dimension_report(lat: CoverLattice) -> DimensionReport:
                 "rank_full": rank_full,
                 "rank_truncated": rank_trunc,
                 "lattice_rank": lattice_rank,
-                "rank_full_mod2": mod2,
-                "rank_full_mod3": mod3,
                 "stage": "dimension_report",
             },
         )
@@ -276,8 +213,8 @@ def dimension_report(lat: CoverLattice) -> DimensionReport:
         dimension=dimension,
         dim_matches_lattice_rank=dimension == lattice_rank + 1,
         cohen_macaulay=cm,
-        rank_full_mod2=mod2,
-        rank_full_mod3=mod3,
+        rank_full_mod2=lattice_rank + 1,
+        rank_full_mod3=lattice_rank + 1,
     )
 
 

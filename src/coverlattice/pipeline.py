@@ -14,7 +14,7 @@ from .covers import (
     _relabel,
     perfect_matching,
 )
-from .exceptions import InconsistencyError
+from .exceptions import CoverError, InconsistencyError
 from .graphs import (
     Bipartition,
     Graph,
@@ -24,7 +24,7 @@ from .graphs import (
     as_graph,
     bipartition,
 )
-from .lattice import CoverLattice, _edge_preorder, _is_preorder, graph_from_lattice
+from .lattice import MAX_LATTICE_N, CoverLattice, _edge_preorder, _is_preorder, graph_from_lattice
 
 __all__ = ["GraphAnalysis", "LatticeVerification", "analyze_graph", "verify_lattice"]
 
@@ -59,7 +59,8 @@ def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAn
     A bipartite graph with a perfect matching is relabeled through it, and
     it is unmixed iff the labeled edge relation "x_i y_j is an edge" is a
     preorder i <= j (Villarreal). Then its lattice is the down-sets of that
-    preorder (Birkhoff), one per minimal cover, so no cover is enumerated.
+    preorder (Birkhoff), one per minimal cover, so no cover is enumerated;
+    n past MAX_LATTICE_N is refused there, before any count.
     Every other graph (mixed, not bipartite, or without a perfect matching)
     gets its cover sizes from Bron-Kerbosch, as check prints their count and
     counting the minimal covers of a mixed graph is #P-hard. The search runs
@@ -76,6 +77,11 @@ def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAn
         labeled, relabeling = _relabel(g, part, matching)
         pred = _edge_preorder(labeled)
         if _is_preorder(pred):
+            if labeled.n > MAX_LATTICE_N:  # the down-set count recurses n deep
+                raise CoverError(
+                    f"n={labeled.n} exceeds the cap of {MAX_LATTICE_N} "
+                    "for an unmixed bipartite graph"
+                )
             lat = CoverLattice._from_preorder(labeled.n, pred)
             report = dimension_report(lat)
             counts = ((labeled.n, report.cover_count),)

@@ -17,10 +17,11 @@ elements, cover matrix rows come
 from the enumerated covers, and the Hilbert function of the cover semigroup
 ring comes from collecting every distinct sum of t rows. Two oracles are
 built on the package. dimension_report_by_listing takes the Gram matrix
-and the ranks over GF(2) and GF(3) from the columns of every listed
-element, through the package's rank_exact and _rank_bits: the package
-counts the Gram entries from the preorder and takes one elimination for
-both exact ranks. analyze_graph_by_covers redoes analyze_graph from a
+from the columns of every listed element and its two exact ranks through
+the package's rank_exact, and the ranks over GF(2) and GF(3) from rank_mod
+on every listed row: the package counts the Gram entries from the
+preorder, takes one elimination for both exact ranks, and reads the GF(p)
+ranks off the preorder. analyze_graph_by_covers redoes analyze_graph from a
 full Bron-Kerbosch listing of the whole graph, with no split into connected
 components, labels the graph from its edge list rather than from the
 package's neighbour masks, and takes the report by listing: the package
@@ -49,7 +50,6 @@ from coverlattice import (
     perfect_matching,
     rank_exact,
 )
-from coverlattice.algebra import _rank_bits
 
 
 def brute_force_minimal_covers(g: Graph) -> tuple[frozenset[int], ...]:
@@ -291,9 +291,10 @@ def dimension_report_by_listing(lat: CoverLattice) -> DimensionReport:
 
     The Gram matrix of the listed columns of [X | 1] gives rank_full, and
     its leading n x n block, X^T X, gives rank_truncated, each by its own
-    rank_exact call; the ranks over GF(2) and GF(3) come from elimination
-    on the full columns. The lattice rank is the number of distinct
-    preorder entries, each the intersection of the elements holding a point.
+    rank_exact call; the ranks over GF(2) and GF(3) come from rank_mod on
+    the rows (chi_A, 1) of every element A. The lattice rank is the number
+    of distinct preorder entries, each the intersection of the elements
+    holding a point.
     """
     n, elements = lat.n, lat.elements
     columns = cover_columns(elements, n)
@@ -301,6 +302,7 @@ def dimension_report_by_listing(lat: CoverLattice) -> DimensionReport:
     rank_full = rank_exact(gram)
     rank_truncated = rank_exact([row[:n] for row in gram[:n]])
     lattice_rank = len(set(preorder_by_intersection(elements, n)))
+    rows = [[int(i in e) for i in range(1, n + 1)] + [1] for e in elements]
     return DimensionReport(
         n=n,
         cover_count=len(elements),
@@ -310,8 +312,8 @@ def dimension_report_by_listing(lat: CoverLattice) -> DimensionReport:
         dimension=rank_full,
         dim_matches_lattice_rank=rank_full == lattice_rank + 1,
         cohen_macaulay=lattice_rank == n,
-        rank_full_mod2=_rank_bits(columns, 2),
-        rank_full_mod3=_rank_bits(columns, 3),
+        rank_full_mod2=rank_mod(rows, 2),
+        rank_full_mod3=rank_mod(rows, 3),
     )
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coverlattice import (
     CoverLattice,
@@ -18,13 +18,7 @@ from coverlattice import (
     rank_exact,
 )
 
-from coverlattice.algebra import (
-    _add3,
-    _downset_counter,
-    _pivot_columns,
-    _rank_bits,
-    _spanning_rows,
-)
+from coverlattice.algebra import _downset_counter, _pivot_columns
 
 from oracles import (
     cover_columns,
@@ -206,32 +200,6 @@ class TestRankMod:
         assert checked == 1 + 4 + 29 + 355
 
 
-class TestRankBits:
-    """The bit-packed GF(2)/GF(3) elimination the dimension report runs on its columns."""
-
-    def test_add3_truth_table(self):
-        # lane 3a + b holds a in the first vector and b in the second
-        def pack(values):
-            ones = sum(1 << k for k, v in enumerate(values) if v == 1)
-            twos = sum(1 << k for k, v in enumerate(values) if v == 2)
-            return ones, twos
-
-        pairs = [(a, b) for a in range(3) for b in range(3)]
-        total = _add3(*pack([a for a, _ in pairs]), *pack([b for _, b in pairs]))
-        assert total == pack([(a + b) % 3 for a, b in pairs])
-
-    # the example subtracts the pivot at bit 2 (1 - 1), leaving a 2 at bit 1
-    # that adds the pivot there (2 + 1); the second stores a pivot holding 2
-    # at its top, which must be scaled to 1 before the third column meets it
-    @given(st.lists(st.integers(0, 2**6 - 1), min_size=1, max_size=6), st.sampled_from([2, 3]))
-    @example([0b110, 0b010, 0b100], 3)
-    @example([0b110, 0b100, 0b011], 3)
-    @settings(deadline=None)
-    def test_matches_rank_mod_and_minors(self, columns, p):
-        rows = [[c >> r & 1 for c in columns] for r in range(6)]
-        assert _rank_bits(columns, p) == rank_mod(rows, p) == rank_by_minors(rows, p)
-
-
 class TestDimensionReport:
     def test_complete_bipartite(self):
         _, lat = _pipeline(K22)
@@ -334,22 +302,6 @@ class TestCountedGram:
             if s & ~points == 0
         )
         assert _downset_counter(lat.pred)(points) == brute == len(restricted)
-
-    def test_spanning_rows_have_the_rank_of_every_row(self):
-        checked = 0
-        for lat in self._lattices():
-            n = lat.n
-            rows = _spanning_rows(lat.pred)
-            all_rows = [m | 1 << n for m in lat.masks]
-            assert set(rows) <= set(all_rows)  # rows of [X | 1]
-            assert len(rows) <= 2 * len(set(lat.pred)) + 1
-            spanning = [[r >> k & 1 for k in range(n + 1)] for r in rows]
-            listed = [[r >> k & 1 for k in range(n + 1)] for r in all_rows]
-            for p in (2, 3):
-                assert _rank_bits(rows, p) == rank_mod(listed, p) == rank_by_minors(spanning, p)
-            assert rank_by_minors(spanning) == rank_exact(listed) == rank_mod(listed, 5)
-            checked += 1
-        assert checked == 389
 
     @given(st.integers(0, 10_000), st.sampled_from([(0, 1), (-3, 3)]))
     @settings(deadline=None)

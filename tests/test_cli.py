@@ -183,17 +183,19 @@ class TestDim:
         assert payload["cohen_macaulay"] is True
         assert "rank_full_mod2" in payload
 
-    def test_characteristic_p_rank_differing_exits_1(self, write, capsys, monkeypatch):
+    def test_rank_truncated_differing_from_lattice_rank_exits_1(self, write, capsys, monkeypatch):
         from coverlattice import algebra
 
-        rank_bits = algebra._rank_bits
-        monkeypatch.setattr(algebra, "_rank_bits", lambda cols, p: rank_bits(cols, p) - 1)
+        rank = algebra.rank
+        monkeypatch.setattr(algebra, "rank", lambda lat: rank(lat) + 1)
         assert main(["dim", write("g.txt", "1 2\n3 4\n")]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "INCONSISTENCY: characteristic-p ranks 2 (p=2) and 2 (p=3)" in captured.err
-        assert "rank_full=3" in captured.err
-        assert '"rank_full_mod2": 2' in captured.err
+        assert captured.err.startswith(
+            "INCONSISTENCY: rank_truncated=2 differs from lattice_rank=3\n"
+        )
+        assert '"rank_full": 3' in captured.err
+        assert '"lattice_rank": 3' in captured.err
 
 
 class TestCountedRoute:
@@ -248,6 +250,31 @@ class TestCountedRoute:
         assert capsys.readouterr().out == self.EXPECTED[self.M12, "dim"]
         nodes = [line for line in dot.read_text().splitlines() if line.startswith('  "{')]
         assert sum("->" not in line for line in nodes) == 4096
+
+    @pytest.mark.parametrize("command", ["check", "dim"])
+    def test_past_the_lattice_cap_exits_2(self, write, command):
+        # the down-set count recurses n deep: n = 1000 ended in a RecursionError
+        edges = matching_graph(MAX_LATTICE_N + 1).edges
+        path = write("g.txt", "".join(f"{u} {v}\n" for u, v in edges))
+        done, _ = _run_capped("-m", "coverlattice.cli", command, path, "--max-vertices", "600")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            "error: n=257 exceeds the cap of 256 for an unmixed bipartite graph\n"
+        )
+
+    def test_the_lattice_cap_admits_n_256(self, monkeypatch):
+        from coverlattice import pipeline
+
+        class Reached(Exception):
+            pass
+
+        def reached(lat):
+            raise Reached
+
+        monkeypatch.setattr(pipeline, "dimension_report", reached)
+        with pytest.raises(Reached):
+            pipeline.analyze_graph(matching_graph(MAX_LATTICE_N), 2 * MAX_LATTICE_N)
 
 
 class TestLattice:
@@ -400,19 +427,19 @@ class TestVerify:
     def test_exhaustive_limit(self, capsys):
         assert main(["verify", "--n", "5"]) == 2
 
-    def test_characteristic_p_rank_differing_exits_1(self, capsys, monkeypatch):
+    def test_rank_truncated_differing_from_lattice_rank_exits_1(self, capsys, monkeypatch):
         from coverlattice import algebra
 
-        rank_bits = algebra._rank_bits
-        monkeypatch.setattr(algebra, "_rank_bits", lambda cols, p: rank_bits(cols, p) - 1)
+        rank = algebra.rank
+        monkeypatch.setattr(algebra, "rank", lambda lat: rank(lat) + 1)
         assert main(["verify", "--n", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            "INCONSISTENCY: characteristic-p ranks 1 (p=2) and 1 (p=3) "
-            "differ from rank_full=2\n"
+            "INCONSISTENCY: rank_truncated=1 differs from lattice_rank=2\n"
         )
-        assert '"rank_full_mod3": 1' in captured.err
+        assert '"rank_full": 2' in captured.err
+        assert '"stage": "dimension_report"' in captured.err
 
     @pytest.mark.parametrize(
         "n, covers",
