@@ -16,10 +16,9 @@ G = [X | 1]^T [X | 1], whose entry (a, b) counts the elements holding both
 coordinates a and b. An element holds i and j iff it holds the down-set
 pred[i] | pred[j], so G[x_i, x_j] = c_ij, the number of down-sets of the
 preorder restricted to the points outside pred[i] | pred[j];
-G[x_i, 1] = c_ii, and G[1, 1] = |L|, the cover count. One memo serves all
-(n + 1)(n + 2) / 2 counts through the split N(S) = N(S - up(x)) +
-N(S - pred[x]). Its states are convex sets of points, not down-sets, so
-there are at most 2^n of them whatever |L| is. For a rational vector v,
+G[x_i, 1] = c_ii, and G[1, 1] = |L|, the cover count. One memo,
+lattice._downset_counter, serves all (n + 1)(n + 2) / 2 counts, with at
+most 2^n states whatever |L| is. For a rational vector v,
 v^T G v = |[X | 1] v|^2 vanishes only when [X | 1] v does, so G has the rank
 of [X | 1]. One fraction-free (Bareiss) pass over G gives both ranks: the
 pivots among its first n columns number the rank of those columns,
@@ -42,20 +41,20 @@ The semigroup ring is the Hibi ring of the cover lattice L (Hibi 1987;
 Herzog-Hibi-Ohsugi, arXiv:0811.0747): its degree-t monomials correspond to
 the multichains A_1 <= ... <= A_t of L, so multichain_counts is its Hilbert
 function, and the degree of that polynomial is the lattice rank exactly.
-Each level of the count is a zeta transform over L, summed over the
-preorder's classes, its join-irreducibles (Bjorklund, Husfeldt, Kaski,
-Koivisto, Nederlof and Parviainen, "Fast zeta transforms for lattices with
-few irreducibles", ACM Trans. Algorithms 12(1), 2016).
+Each level of the count is a zeta transform over L along its cover
+relation, lattice._cover_steps, summed over the preorder's classes, its
+join-irreducibles (Bjorklund, Husfeldt, Kaski, Koivisto, Nederlof and
+Parviainen, "Fast zeta transforms for lattices with few irreducibles",
+ACM Trans. Algorithms 12(1), 2016).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 from .exceptions import InconsistencyError
-from .graphs import _bits
-from .lattice import CoverLattice, graph_from_lattice, rank
+from .lattice import CoverLattice, _cover_steps, _downset_counter, graph_from_lattice, rank
 
 __all__ = [
     "DimensionReport",
@@ -111,32 +110,6 @@ def _pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
 def rank_exact(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals by fraction-free (Bareiss) integer elimination."""
     return len(_pivot_columns(rows))
-
-
-def _downset_counter(pred: Sequence[int]) -> Callable[[int], int]:
-    """N(S), the number of down-sets of the preorder pred restricted to the points of S.
-
-    A down-set of S either leaves out a point x of S, and with it every
-    point above x, or holds x and every point below it; what remains is a
-    down-set of S - up(x) or of S - pred[x], so
-    N(S) = N(S - up(x)) + N(S - pred[x]) with N(empty) = 1. Every call of the
-    returned function shares one memo. Each state is an up-set of the
-    points less some up- and down-sets, a convex set, so there are at most
-    2^n of them however many down-sets the preorder has.
-    """
-    up = [0] * len(pred)
-    for j, p in enumerate(pred):
-        for i in _bits(p):
-            up[i] |= 1 << j
-    memo = {0: 1}
-
-    def count(s: int) -> int:
-        if s not in memo:
-            x = s.bit_length() - 1
-            memo[s] = count(s & ~up[x]) + count(s & ~pred[x])
-        return memo[s]
-
-    return count
 
 
 @dataclass(frozen=True)
@@ -226,19 +199,12 @@ def multichain_counts(lat: CoverLattice, max_length: int) -> list[int]:
     g(B) = sum of f(A) over the elements A <= B of the level before. The
     transform runs over the preorder's classes, the join-irreducibles of L,
     in O(v |L|) for v classes (Bjorklund et al., TALG 2016): for each class c
-    in turn, it adds g(B - c) into g(B) for every element B holding pred[c]
-    with B - c in L, that is with c maximal in B. The classes must be taken
-    in a linear extension of the preorder, smaller classes first, as
-    increasing popcount of pred gives; in another order an element below a
-    class not yet taken is missed.
+    in turn, it adds g(B - c) into g(B) for every B covering B - c, the pairs
+    of _cover_steps. The classes must be taken in a linear extension, as
+    _cover_steps gives them; in another order an element below a class not
+    yet taken is missed.
     """
-    index = {m: k for k, m in enumerate(lat.masks)}
-    steps = []
-    for p in sorted(set(lat.pred), key=int.bit_count):
-        c = sum(1 << j for j, q in enumerate(lat.pred) if q == p)
-        steps += [
-            (k, index[b ^ c]) for k, b in enumerate(lat.masks) if b & p == p and b ^ c in index
-        ]
+    steps = _cover_steps(lat)
     ending = [1] * len(lat.masks)
     counts = []
     for _ in range(max_length):

@@ -15,20 +15,19 @@ relation with _is_preorder and lists no down-set: the masks are listed on
 first read, and the dimension report never reads them. The rank is the
 number of distinct pred[j], and the inverse graph writes pred out as edges.
 
-_downsets lists the down-sets by one binary search that branches on the
-lowest undecided point x and takes the branch with x first. Two down-sets
-agree below the lowest point where they differ, and the one holding it
-comes first: within each size, that is the canonical order, so a stable
-sort by size (a C-level key) puts the list in canonical order. The search
-has 2|L| - 1 nodes. format_lattice writes each element's line as the
-line of the element less its top member plus one label, reading that line
-from the elements already written when the set is one of them.
+Every walk of the preorder lives here. _downsets lists the down-sets by
+one binary search, in canonical order after a stable sort by size, and
+format_lattice writes each line from the line of the element less its top
+member. _above(pred), each point's up-set, serves that search and
+_downset_counter, which counts down-sets without listing them (the
+dimension report's Gram entries). _cover_steps, L's one cover relation,
+serves hasse and algebra.multichain_counts in O(v |L|) for v classes.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
@@ -95,6 +94,15 @@ def _preorder(masks: Collection[int], points: int) -> list[int]:
     return pred
 
 
+def _above(pred: Sequence[int]) -> list[int]:
+    """above[i]: the mask of the points j with i in pred[j], the up-set of point i + 1."""
+    above = [0] * len(pred)
+    for j, p in enumerate(pred):
+        for i in _bits(p):
+            above[i] |= 1 << j
+    return above
+
+
 def _downsets(pred: Sequence[int], limit: int) -> list[int] | None:
     """The down-sets of the preorder pred on the union of the pred[j], each once.
 
@@ -110,10 +118,7 @@ def _downsets(pred: Sequence[int], limit: int) -> list[int] | None:
     down-sets the preorder has. Each branch decides x, so the search ends on
     any relation, a preorder or not.
     """
-    above = [0] * len(pred)
-    for j, p in enumerate(pred):
-        for i in _bits(p):
-            above[i] |= 1 << j
+    above = _above(pred)
     found: list[int] = []
     stack = [(0, reduce(or_, pred, 0))]
     while stack:
@@ -129,6 +134,26 @@ def _downsets(pred: Sequence[int], limit: int) -> list[int] | None:
         if len(found) > limit:
             return None
     return found
+
+
+def _downset_counter(pred: Sequence[int]) -> Callable[[int], int]:
+    """N(S), the number of down-sets of the preorder pred restricted to the points of S.
+
+    A down-set of S leaves out a point x of S and every point above it, or
+    holds x and every point below it, so N(S) = N(S - up(x)) + N(S - pred[x])
+    with N(empty) = 1. Every call shares one memo, whose states are convex
+    sets, at most 2^n of them however many down-sets the preorder has.
+    """
+    up = _above(pred)
+    memo = {0: 1}
+
+    def count(s: int) -> int:
+        if s not in memo:
+            x = s.bit_length() - 1
+            memo[s] = count(s & ~up[x]) + count(s & ~pred[x])
+        return memo[s]
+
+    return count
 
 
 def _is_preorder(pred: list[int]) -> bool:
@@ -278,21 +303,30 @@ class HasseDiagram:
     edges: tuple[tuple[frozenset[int], frozenset[int]], ...]
 
 
-def hasse(lat: CoverLattice) -> HasseDiagram:
-    """Edges (A, B) with A strictly below B and nothing of the lattice between.
+def _cover_steps(lat: CoverLattice) -> list[tuple[int, int]]:
+    """The pairs (B, A) of indices into lat.masks with B covering A in L.
 
-    Every element above A is a down-set holding some j outside A, so it
-    contains A | pred[j], itself a down-set and hence an element. The
-    elements covering A are therefore the minimal sets among those unions,
-    which makes the diagram O(|L| * n^2) rather than cubic in |L|.
+    Elements are unions of classes (points sharing one pred entry), and B
+    covers A iff B - A is one class c maximal in B: B holds pred[c] and B - c
+    is in L. The pairs are grouped by class, the classes in a linear
+    extension (increasing popcount of pred). The zeta transform of
+    multichain_counts depends on that order; hasse sorts, so it does not.
     """
     index = {m: k for k, m in enumerate(lat.masks)}
-    edges = []
-    for a, am in zip(lat.elements, lat.masks):
-        above = {am | p for j, p in enumerate(lat.pred) if not am >> j & 1}
-        tops = sorted(index[b] for b in above if not any(c != b and c & b == c for c in above))
-        edges.extend((a, lat.elements[k]) for k in tops)  # canonical order throughout
-    return HasseDiagram(lat.elements, tuple(edges))
+    steps = []
+    for p in sorted(set(lat.pred), key=int.bit_count):
+        c = sum(1 << j for j, q in enumerate(lat.pred) if q == p)
+        steps += [
+            (k, index[b ^ c]) for k, b in enumerate(lat.masks) if b & p == p and b ^ c in index
+        ]
+    return steps
+
+
+def hasse(lat: CoverLattice) -> HasseDiagram:
+    """Edges (A, B) with B covering A in L, in the canonical order of A, then of B."""
+    e = lat.elements
+    edges = sorted((a, b) for b, a in _cover_steps(lat))
+    return HasseDiagram(e, tuple((e[a], e[b]) for a, b in edges))
 
 
 def rank(lat: CoverLattice) -> int:
@@ -417,11 +451,8 @@ def parse_lattice(text: str) -> CoverLattice:
 
 
 def hasse_to_dot(diagram: HasseDiagram) -> str:
-    """Graphviz text for the Hasse diagram, edges pointing small to large."""
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for e in diagram.nodes:
-        lines.append(f'  "{_set_str(e)}";')
-    for a, b in diagram.edges:
-        lines.append(f'  "{_set_str(a)}" -> "{_set_str(b)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Graphviz text for the Hasse diagram, edges pointing small to large; one text per node."""
+    text = {e: f'"{_set_str(e)}"' for e in diagram.nodes}
+    lines = ["digraph hasse {", "  rankdir=BT;", *(f"  {text[e]};" for e in diagram.nodes)]
+    lines += [f"  {text[a]} -> {text[b]};" for a, b in diagram.edges]
+    return "\n".join(lines) + "\n}\n"

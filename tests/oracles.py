@@ -13,7 +13,8 @@ contain each point, the down-sets of a relation come from closing the
 empty set under union with each pred[j], the lattice file comes from
 sorting those down-sets by (size, sorted members) and joining each one's
 members bit by bit, Hasse diagrams come from testing every triple of
-elements, cover matrix rows come
+elements and their Graphviz text from those pairs with its own set
+formatting, cover matrix rows come
 from the enumerated covers, and the Hilbert function of the cover semigroup
 ring comes from collecting every distinct sum of t rows. Two oracles are
 built on the package. dimension_report_by_listing takes the Gram matrix
@@ -203,6 +204,19 @@ def brute_force_hasse(elements) -> list[tuple[frozenset[int], frozenset[int]]]:
 
     edges.sort(key=lambda ab: (key(ab[0]), key(ab[1])))
     return edges
+
+
+def dot_text_by_triples(elements) -> str:
+    """Graphviz text of the Hasse diagram from brute_force_hasse, nodes in (size, members) order."""
+
+    def name(e):
+        return '"{' + ",".join(str(i) for i in sorted(e)) + '}"'
+
+    nodes = sorted((frozenset(e) for e in elements), key=lambda e: (len(e), sorted(e)))
+    lines = ["digraph hasse {", "  rankdir=BT;"]
+    lines += ["  %s;" % name(e) for e in nodes]
+    lines += ["  %s -> %s;" % (name(a), name(b)) for a, b in brute_force_hasse(nodes)]
+    return "\n".join(lines + ["}", ""])
 
 
 def hilbert_function(rows, max_degree: int) -> list[int]:

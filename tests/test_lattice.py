@@ -25,6 +25,7 @@ from coverlattice.lattice import MAX_LATTICE_N, _downsets, _is_preorder, _preord
 from oracles import (
     brute_force_closure,
     brute_force_hasse,
+    dot_text_by_triples,
     downsets_by_unions,
     format_lattice_by_bits,
     lattice_covers,
@@ -329,6 +330,7 @@ class TestHasseAndRank:
                 d = hasse(built)
                 assert d.nodes == built.elements
                 assert list(d.edges) == brute_force_hasse(built.elements)
+                assert hasse_to_dot(d) == dot_text_by_triples(built.elements)
                 checked += 1
         assert checked == 1 + 4 + 29 + 355
 
@@ -336,7 +338,9 @@ class TestHasseAndRank:
         rng = random.Random(11)
         for _ in range(40):
             built = random_sublattice(rng.randint(5, 7), rng.randint(0, 12), rng.getrandbits(32))
-            assert list(hasse(built).edges) == brute_force_hasse(built.elements)
+            d = hasse(built)
+            assert list(d.edges) == brute_force_hasse(built.elements)
+            assert hasse_to_dot(d) == dot_text_by_triples(built.elements)
 
     def test_rank_equals_longest_chain_on_all_small_lattices(self):
         checked = 0
