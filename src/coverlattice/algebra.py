@@ -150,7 +150,10 @@ def dimension_report(lat: CoverLattice) -> DimensionReport:
     # those holding pred[i] for x_i and 1, and all of L for 1 and 1
     n, pred = lat.n, lat.pred
     count, full, need = _downset_counter(pred), (1 << n) - 1, [*pred, 0]
-    gram = [[count(full & ~(a | b)) for b in need] for a in need]
+    gram = [[0] * (n + 1) for _ in need]
+    for a in range(n + 1):  # G is symmetric: count the upper triangle and mirror it
+        for b in range(a, n + 1):
+            gram[a][b] = gram[b][a] = count(full & ~(need[a] | need[b]))
     # the first n columns of G are [X | 1]^T X, whose null space is X's, so
     # the pivots among them number rank(X) = rank_truncated
     pivots = _pivot_columns(gram)

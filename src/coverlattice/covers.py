@@ -1,20 +1,24 @@
 """Minimal vertex covers and the matching-based normal form.
 
 A minimal vertex cover is exactly the complement of a maximal independent
-set, so one search, Bron-Kerbosch with pivoting over bit-mask vertex sets
-(_bron_kerbosch), finds them. _cover_masks runs it on the whole graph for
-the covers command and verify, which list every cover;
-enumerate_minimal_covers returns them as frozensets in the canonical
-order: ascending size, then lexicographic on the members. For check of a
-graph that is not unmixed bipartite, _cover_size_counts runs it once per
-connected component (graphs._components) and keeps only a (size, count)
-histogram. The pipeline reads an unmixed bipartite graph's lattice off
-its labeled edges and runs no search on it. All of it reads Graph._nbr.
+set, so one search, Bron-Kerbosch with a Tomita pivot over bit-mask vertex
+sets (_bron_kerbosch), finds them. It records a leaf without a call and
+never enters a branch with no candidates but some excluded vertex, which
+can only die. A minimal cover of a disjoint union is one minimal cover per
+connected component, so _component_covers runs the search once per
+component (graphs._components), and every listing takes that one route:
+_cover_masks, for the covers command and verify, returns the unions of one
+cover per component; enumerate_minimal_covers returns them as frozensets
+in the canonical order: ascending size, then lexicographic on the members.
+For check of a graph that is not unmixed bipartite, _cover_size_counts
+convolves the components' size histograms and lists no cover of the whole
+graph. The pipeline reads an unmixed bipartite graph's lattice off its
+labeled edges and runs no search on it. All of it reads Graph._nbr.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .exceptions import CoverError
@@ -61,34 +65,47 @@ def _check_cap(g: Graph, max_vertices: int) -> None:
 def _cover_masks(g: Graph) -> list[int]:
     """The minimal vertex covers of g as masks, in no fixed order.
 
-    The complements of the maximal independent sets of the whole graph.
-    Exponential in the worst case, so enumerate_minimal_covers checks the
-    vertex cap first; verify_lattice needs none, as the graph of a lattice
-    has one minimal cover per element.
+    The unions of one minimal cover per connected component
+    (_component_covers), the first component's list used as it is, so a
+    connected graph keeps one list. Exponential in the worst case, so
+    enumerate_minimal_covers checks the vertex cap first; verify_lattice
+    needs none, as the graph of a lattice has one minimal cover per element.
     """
-    full = (1 << g.vertex_count) - 1
-    return [full ^ s for s in _bron_kerbosch(_complement(g._nbr), full)]
+    parts = _component_covers(g)
+    masks = next(parts)  # a Graph has an edge, so one component at least
+    for covers in parts:
+        masks = [m | c for m in masks for c in covers]
+    return masks
 
 
 def _cover_size_counts(g: Graph) -> tuple[tuple[int, int], ...]:
     """(size, count) of the minimal vertex covers of g, ascending by size.
 
-    A minimal cover of a disjoint union is the union of one minimal cover
-    per connected component, so Bron-Kerbosch runs on each component alone
-    and the histogram is the convolution of theirs: the work is a sum over
-    the components where listing the covers would cost their product.
+    The convolution of the components' cover sizes (_component_covers),
+    one cover at a time: the work is a sum over the components where
+    listing the covers would cost their product.
     """
-    non_nbr = _complement(g._nbr)
     counts = {0: 1}
-    for layers in _components(g._nbr):
-        component = sum(layers)  # the layers are disjoint
+    for covers in _component_covers(g):
         convolved: dict[int, int] = {}
-        for s in _bron_kerbosch(non_nbr, component):
-            k = component.bit_count() - s.bit_count()  # this cover's size in the component
+        for cover in covers:
+            k = cover.bit_count()
             for size, count in counts.items():
                 convolved[size + k] = convolved.get(size + k, 0) + count
         counts = convolved
     return tuple(sorted(counts.items()))
+
+
+def _component_covers(g: Graph) -> Iterator[list[int]]:
+    """Each connected component's minimal covers, as masks inside that component.
+
+    A minimal cover of a disjoint union is one minimal cover per component,
+    so Bron-Kerbosch runs on each component alone (graphs._components).
+    """
+    non_nbr = _complement(g._nbr)
+    for layers in _components(g._nbr):
+        component = sum(layers)  # the layers are disjoint
+        yield [component ^ s for s in _bron_kerbosch(non_nbr, component)]
 
 
 def _complement(nbr: Sequence[int]) -> list[int]:
@@ -101,21 +118,38 @@ def _bron_kerbosch(non_nbr: list[int], within: int) -> list[int]:
     """The maximal independent sets of the subgraph induced on within, as masks.
 
     The maximal cliques of the complement graph, by Bron-Kerbosch with a
-    Tomita pivot. The one search behind every cover enumeration.
+    Tomita pivot, in no fixed order. The one search behind every cover
+    enumeration. A branch whose candidates run out is a leaf when nothing
+    is excluded, and is recorded without a call; with some vertex excluded
+    it can only die, so it is never entered.
     """
+    if not within:
+        return [0]
     independent: list[int] = []
+    record = independent.append
 
     def expand(chosen: int, candidates: int, excluded: int) -> None:
-        if candidates == 0 and excluded == 0:
-            independent.append(chosen)
-            return
-        pool = candidates | excluded
-        pivot = max(_bits(pool), key=lambda i: (candidates & non_nbr[i]).bit_count())
-        for i in list(_bits(candidates & ~non_nbr[pivot])):
-            bit = 1 << i
-            expand(chosen | bit, candidates & non_nbr[i], excluded & non_nbr[i])
-            candidates &= ~bit
-            excluded |= bit
+        # the pivot: the vertex of candidates | excluded that keeps the most candidates
+        rest, most, keep = candidates | excluded, -1, 0
+        while rest:
+            low = rest & -rest
+            kept = non_nbr[low.bit_length() - 1]
+            k = (candidates & kept).bit_count()
+            if k > most:
+                most, keep = k, kept
+            rest ^= low
+        branch = candidates & ~keep
+        while branch:
+            low = branch & -branch
+            kept = non_nbr[low.bit_length() - 1]
+            inner = candidates & kept
+            if inner:
+                expand(chosen | low, inner, excluded & kept)
+            elif not excluded & kept:
+                record(chosen | low)
+            candidates ^= low
+            excluded |= low
+            branch ^= low
 
     expand(0, within, 0)
     return independent

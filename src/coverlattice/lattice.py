@@ -11,7 +11,8 @@ order the check listed them.
 
 Producers that hold a preorder, such as a labeled graph's edges
 (_edge_preorder), use CoverLattice._from_preorder, which tests the
-relation with _is_preorder and lists no down-set: the masks are listed on
+relation with _is_preorder and lists no down-set, or _if_preorder, which
+returns None where _from_preorder raises: the masks are listed on
 first read, and the dimension report never reads them. The rank is the
 number of distinct pred[j], and the inverse graph writes pred out as edges.
 
@@ -250,13 +251,9 @@ class CoverLattice:
 
     @classmethod
     def _from_preorder(cls, n: int, pred: list[int]) -> CoverLattice:
-        """The down-sets of pred; InconsistencyError unless pred is a preorder.
-
-        Their own preorder is pred exactly when pred is reflexive and
-        transitive, so _is_preorder, tested before any down-set is built, is
-        the whole check.
-        """
-        if not _is_preorder(pred):
+        """The down-sets of pred; InconsistencyError unless pred is a preorder."""
+        lat = cls._if_preorder(n, pred)
+        if lat is None:
             raise InconsistencyError(
                 "relation is not a preorder (reflexive and transitive)",
                 details={
@@ -265,6 +262,18 @@ class CoverLattice:
                     "stage": "from_preorder",
                 },
             )
+        return lat
+
+    @classmethod
+    def _if_preorder(cls, n: int, pred: list[int]) -> CoverLattice | None:
+        """The down-sets of pred, or None unless pred is a preorder.
+
+        Their own preorder is pred exactly when pred is reflexive and
+        transitive, so _is_preorder, tested before any down-set is built, is
+        the whole check.
+        """
+        if not _is_preorder(pred):
+            return None
         lat = object.__new__(cls)
         object.__setattr__(lat, "n", n)
         object.__setattr__(lat, "pred", tuple(pred))

@@ -24,7 +24,7 @@ from .graphs import (
     as_graph,
     bipartition,
 )
-from .lattice import MAX_LATTICE_N, CoverLattice, _edge_preorder, _is_preorder, graph_from_lattice
+from .lattice import MAX_LATTICE_N, CoverLattice, _edge_preorder, graph_from_lattice
 
 __all__ = ["GraphAnalysis", "LatticeVerification", "analyze_graph", "verify_lattice"]
 
@@ -75,14 +75,13 @@ def analyze_graph(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAn
     labeled = None
     if matching is not None:
         labeled, relabeling = _relabel(g, part, matching)
-        pred = _edge_preorder(labeled)
-        if _is_preorder(pred):
+        lat = CoverLattice._if_preorder(labeled.n, _edge_preorder(labeled))
+        if lat is not None:
             if labeled.n > MAX_LATTICE_N:  # the down-set count recurses n deep
                 raise CoverError(
                     f"n={labeled.n} exceeds the cap of {MAX_LATTICE_N} "
                     "for an unmixed bipartite graph"
                 )
-            lat = CoverLattice._from_preorder(labeled.n, pred)
             report = dimension_report(lat)
             counts = ((labeled.n, report.cover_count),)
             return GraphAnalysis(g, part, counts, True, labeled, relabeling, lat, report)
@@ -113,8 +112,9 @@ def verify_lattice(lat: CoverLattice) -> LatticeVerification:
     """Drive one lattice instance through the whole verification pipeline.
 
     CoverLattice's down-set check certifies graph_from_lattice's output; on
-    top of that this enumerates the graph's minimal covers (Bron-Kerbosch),
-    an independent route back from the graph, and checks the bijection
+    top of that this enumerates the graph's minimal covers (Bron-Kerbosch,
+    one connected component at a time), an independent route back that
+    reads the graph and never the preorder, and checks the bijection
     behind the cover semigroup ring: they are exactly the covers
     C_A = {x_i : i in A} + {y_j : j not in A}, one per element A of the
     lattice. It then computes the dimension report, which ties the preorder

@@ -22,12 +22,14 @@ from the columns of every listed element and its two exact ranks through
 the package's rank_exact, and the ranks over GF(2) and GF(3) from rank_mod
 on every listed row: the package counts the Gram entries from the
 preorder, takes one elimination for both exact ranks, and reads the GF(p)
-ranks off the preorder. analyze_graph_by_covers redoes analyze_graph from a
-full Bron-Kerbosch listing of the whole graph, with no split into connected
-components, labels the graph from its edge list rather than from the
-package's neighbour masks, and takes the report by listing: the package
-reads unmixed bipartite graphs off their edges and runs Bron-Kerbosch per
-component on the others.
+ranks off the preorder. analyze_graph_by_covers redoes analyze_graph from
+one call of the package's search kernel, covers._bron_kerbosch, on the
+whole vertex set of its own neighbour masks, made from the edge list, with
+no split into connected components; it labels the graph from its edge list
+rather than from the package's neighbour masks, and takes the report by
+listing. The package reads unmixed bipartite graphs off their edges, and
+every listing or count of covers it makes runs the search once per
+component.
 """
 
 from __future__ import annotations
@@ -46,20 +48,26 @@ from coverlattice import (
     LabeledBipartiteGraph,
     Relabeling,
     bipartition,
-    enumerate_minimal_covers,
     graph_from_edges,
     perfect_matching,
     rank_exact,
 )
+from coverlattice.covers import _bron_kerbosch, _check_cap
+
+
+def _neighbour_masks(g: Graph) -> list[int]:
+    """nbr[v - 1], the mask of v's neighbours, from the edge list."""
+    nbr = [0] * g.vertex_count
+    for a, b in g.edges:
+        nbr[a - 1] |= 1 << (b - 1)
+        nbr[b - 1] |= 1 << (a - 1)
+    return nbr
 
 
 def brute_force_minimal_covers(g: Graph) -> tuple[frozenset[int], ...]:
     """Filter all 2^V subsets for the cover property, then drop non-minimal ones."""
     v = g.vertex_count
-    nbr = [0] * v
-    for a, b in g.edges:
-        nbr[a - 1] |= 1 << (b - 1)
-        nbr[b - 1] |= 1 << (a - 1)
+    nbr = _neighbour_masks(g)
     full = (1 << v) - 1
     covers = []
     for mask in range(full + 1):
@@ -373,7 +381,8 @@ def disjoint_union(graphs) -> Graph:
 def analyze_graph_by_covers(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphAnalysis:
     """analyze_graph from the minimal covers of every graph, never from the edge preorder.
 
-    The (size, count) histogram counts the whole-graph listing, unmixedness
+    The covers come from one Bron-Kerbosch search of the whole vertex set,
+    never split by component. The (size, count) histogram counts them, unmixedness
     comes from the cover sizes, and on an unmixed bipartite graph the
     lattice is the family of the covers' x-parts under the relabeling,
     validated by the public CoverLattice constructor, and its report is
@@ -381,7 +390,14 @@ def analyze_graph_by_covers(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) 
     redone here from the edge list by dict lookups: side_u ascending is
     x_1..x_n, and y_i is x_i's partner in the matching.
     """
-    covers = enumerate_minimal_covers(g, max_vertices)
+    _check_cap(g, max_vertices)
+    nbr = _neighbour_masks(g)
+    full = (1 << len(nbr)) - 1
+    non_nbr = [full & ~m & ~(1 << i) for i, m in enumerate(nbr)]
+    covers = [
+        frozenset(i + 1 for i in range(len(nbr)) if (full ^ s) >> i & 1)
+        for s in _bron_kerbosch(non_nbr, full)
+    ]
     counts = tuple(sorted(Counter(len(c) for c in covers).items()))
     part = bipartition(g)
     unmixed = is_unmixed(covers)

@@ -289,6 +289,21 @@ class TestCountedGram:
             assert sum(c < n for c in pivots) == leading == dimension_report(lat).rank_truncated
             assert len(pivots) == rank_exact(gram) == dimension_report(lat).rank_full
 
+    def test_report_counts_each_symmetric_entry_once(self, monkeypatch):
+        from coverlattice import algebra
+
+        asked = []
+
+        def counter(pred):
+            count = _downset_counter(pred)
+            return lambda s: asked.append(s) or count(s)
+
+        monkeypatch.setattr(algebra, "_downset_counter", counter)
+        for lat in self._lattices():
+            asked.clear()
+            dimension_report(lat)
+            assert len(asked) == (lat.n + 1) * (lat.n + 2) // 2
+
     @given(st.integers(1, 7), st.integers(0, 14), st.integers(0, 2**32 - 1), st.data())
     @settings(deadline=None)
     def test_downset_count_of_any_point_set(self, n, generators, seed, data):

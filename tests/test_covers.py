@@ -18,10 +18,17 @@ from coverlattice import (
     perfect_matching,
     random_sublattice,
 )
-from coverlattice.covers import _cover_masks, _relabel
+from coverlattice.covers import _bron_kerbosch, _complement, _cover_masks, _relabel
+from coverlattice.graphs import _mask_to_set
 
 from conftest import matching_graph
-from oracles import brute_force_minimal_covers, hall_condition_holds, is_unmixed, random_graph
+from oracles import (
+    brute_force_minimal_covers,
+    disjoint_union,
+    hall_condition_holds,
+    is_unmixed,
+    random_graph,
+)
 
 
 def _sets(covers):
@@ -80,6 +87,39 @@ class TestEnumeration:
         for _ in range(12):
             g = random_graph(rng, max_vertices=16)
             assert enumerate_minimal_covers(g) == brute_force_minimal_covers(g)
+
+
+class TestComponentSplit:
+    """Every cover listing runs Bron-Kerbosch once per connected component."""
+
+    def test_empty_within_has_the_empty_set(self):
+        assert _bron_kerbosch(_complement([0b10, 0b01]), 0) == [0]
+
+    def test_matching_graph_runs_one_search_per_edge(self, monkeypatch):
+        from coverlattice import covers
+
+        g = matching_graph(16)
+        searches = []
+
+        def recorded(non_nbr, within):
+            found = _bron_kerbosch(non_nbr, within)
+            searches.append((within, len(found)))
+            return found
+
+        monkeypatch.setattr(covers, "_bron_kerbosch", recorded)
+        masks = _cover_masks(g)
+        assert searches == [(0b11 << 2 * i, 2) for i in range(16)]
+        full = (1 << 32) - 1
+        whole = {full ^ s for s in _bron_kerbosch(_complement(g._nbr), full)}
+        assert len(masks) == len(set(masks)) == len(whole) == 2**16
+        assert set(masks) == whole
+
+    def test_disjoint_unions_match_brute_force(self):
+        rng = random.Random(2727)
+        for _ in range(60):
+            g = disjoint_union([random_graph(rng, 5) for _ in range(rng.randint(2, 4))])
+            found = sorted(map(_mask_to_set, _cover_masks(g)), key=lambda c: (len(c), sorted(c)))
+            assert tuple(found) == brute_force_minimal_covers(g)
 
 
 class TestUnmixed:

@@ -47,6 +47,14 @@ class TestAnalyzeGraph:
         assert not analysis.unmixed
         assert analysis.labeled is None and analysis.report is None
 
+    def test_unmixed_route_tests_the_preorder_once(self, monkeypatch, four_cycle):
+        from coverlattice import lattice
+
+        tested, test = [], lattice._is_preorder
+        monkeypatch.setattr(lattice, "_is_preorder", lambda pred: tested.append(pred) or test(pred))
+        assert analyze_graph(four_cycle).report.dimension == 2
+        assert tested == [[0b11, 0b11]]
+
     def test_four_cycle_full_run(self, four_cycle):
         analysis = analyze_graph(four_cycle)
         assert analysis.cover_size_counts == ((2, 2),)
@@ -291,6 +299,16 @@ class TestAlarmStages:
 
         monkeypatch.setattr(pipeline, "_cover_masks", lambda g: [])
         verify_lattice(self.BOOLEAN1)
+
+    def test_lost_cover_of_one_component_is_caught(self, monkeypatch):
+        # the Boolean lattice on 2 points: x1 y1 and x2 y2, two components;
+        # the search of {x1, y1} (vertices 1 and 3) loses the cover {x1}
+        _lose_covers(monkeypatch, frozenset({1}))
+        boolean2 = CoverLattice(2, [(), (1,), (2,), (1, 2)])
+        with pytest.raises(InconsistencyError) as info:
+            verify_lattice(boolean2)
+        assert info.value.details["stage"] == "cover_projection"
+        assert info.value.details["actual"] == [[], [2]]
 
     def _multichain(self, monkeypatch):
         from coverlattice import pipeline
