@@ -54,6 +54,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 from .exceptions import InconsistencyError
+from .graphs import _members
 from .lattice import CoverLattice, _cover_steps, _downset_counter, graph_from_lattice, rank
 
 __all__ = [
@@ -173,7 +174,7 @@ def dimension_report(lat: CoverLattice) -> DimensionReport:
             details={
                 "n": lat.n,
                 "edges": sorted(graph_from_lattice(lat).edges),
-                "lattice": [sorted(e) for e in lat.elements],
+                "lattice": list(map(_members, lat.masks)),
                 "rank_full": rank_full,
                 "rank_truncated": rank_trunc,
                 "lattice_rank": lattice_rank,
@@ -217,22 +218,19 @@ def multichain_counts(lat: CoverLattice, max_length: int) -> list[int]:
     return counts
 
 
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
+def _key_values(record: dict, rename: dict[str, str], sep: str) -> str:
+    """The record's key=value tokens joined by sep: the one writer of key=value text.
+
+    A key is written as rename gives it, a flag as yes or no, and a None
+    value is left out.
+    """
+    return sep.join(
+        f"{rename.get(k, k)}={('yes' if v else 'no') if isinstance(v, bool) else v}"
+        for k, v in record.items()
+        if v is not None
+    )
 
 
 def format_report(report: DimensionReport) -> str:
-    """Flat key=value block, one field per line."""
-    lines = [
-        f"n={report.n}",
-        f"covers={report.cover_count}",
-        f"rank_full={report.rank_full}",
-        f"rank_truncated={report.rank_truncated}",
-        f"lattice_rank={report.lattice_rank}",
-        f"dimension={report.dimension}",
-        f"dim_matches_lattice_rank={_yn(report.dim_matches_lattice_rank)}",
-        f"cohen_macaulay={_yn(report.cohen_macaulay)}",
-        f"rank_full_mod2={report.rank_full_mod2}",
-        f"rank_full_mod3={report.rank_full_mod3}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Flat key=value block, one field per line, cover_count written as covers."""
+    return _key_values(report.as_dict(), {"cover_count": "covers"}, "\n") + "\n"

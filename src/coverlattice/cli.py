@@ -3,6 +3,8 @@
 Subcommands: check, covers, lattice, dim, from-lattice, verify, gen.
 Exit codes: 0 all asserted properties hold, 1 a structural identity was
 violated (never expected on valid input), 2 input or usage error.
+Sets print straight from masks, through graphs._set_texts and
+graphs._members, and key=value text through algebra._key_values.
 """
 
 from __future__ import annotations
@@ -14,16 +16,24 @@ import random
 import sys
 from pathlib import Path
 
-from .algebra import _yn, format_report
-from .covers import DEFAULT_MAX_VERTICES, enumerate_minimal_covers, format_covers
+from .algebra import _key_values, format_report
+from .covers import DEFAULT_MAX_VERTICES, _cover_lines, _sorted_cover_masks
 from .exceptions import CoverError, GraphError, InconsistencyError, LatticeError
-from .graphs import Graph, _content_lines, as_graph, parse_graph, parse_labeled, serialize_labeled
+from .graphs import (
+    Graph,
+    _content_lines,
+    _members,
+    as_graph,
+    parse_graph,
+    parse_labeled,
+    serialize_labeled,
+)
 from .lattice import (
     CoverLattice,
+    _dot,
+    _hasse_pairs,
     format_lattice,
     graph_from_lattice,
-    hasse,
-    hasse_to_dot,
     parse_lattice,
     random_sublattice,
     enumerate_sublattices,
@@ -61,49 +71,35 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 
 def _export_dot(lat: CoverLattice, path: str | None) -> None:
+    """The Hasse diagram written from lat.masks and its sorted cover pairs."""
     if path:
-        Path(path).write_text(hasse_to_dot(hasse(lat)), encoding="utf-8")
-
-
-def _cover_count(analysis: GraphAnalysis) -> int:
-    return sum(count for _, count in analysis.cover_size_counts)
-
-
-def _check_line(analysis: GraphAnalysis) -> str:
-    tokens = [
-        f"bipartite={_yn(analysis.partition is not None)}",
-        f"unmixed={_yn(analysis.unmixed)}",
-        f"covers={_cover_count(analysis)}",
-    ]
-    if analysis.report is not None:
-        tokens.append(f"cm={_yn(analysis.report.cohen_macaulay)}")
-    return " ".join(tokens)
+        Path(path).write_text(_dot(lat.masks, lat.n, _hasse_pairs(lat)), encoding="utf-8")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     analysis = analyze_graph(_load_graph(args.graph_file), max_vertices=args.max_vertices)
+    payload = {
+        "bipartite": analysis.partition is not None,
+        "unmixed": analysis.unmixed,
+        "covers": sum(count for _, count in analysis.cover_size_counts),
+        "cohen_macaulay": (
+            analysis.report.cohen_macaulay if analysis.report is not None else None
+        ),
+    }
     if args.format == "json":
-        payload = {
-            "bipartite": analysis.partition is not None,
-            "unmixed": analysis.unmixed,
-            "covers": _cover_count(analysis),
-            "cohen_macaulay": (
-                analysis.report.cohen_macaulay if analysis.report is not None else None
-            ),
-        }
         print(json.dumps(payload))
     else:
-        print(_check_line(analysis))
+        print(_key_values(payload, {"cohen_macaulay": "cm"}, " "))
     return EXIT_OK
 
 
 def cmd_covers(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph_file)
-    covers = enumerate_minimal_covers(g, max_vertices=args.max_vertices)
+    masks = _sorted_cover_masks(g, args.max_vertices)
     if args.format == "json":
-        print(json.dumps([sorted(c) for c in covers]))
+        print(json.dumps(list(map(_members, masks))))
     else:
-        sys.stdout.write(format_covers(covers))
+        sys.stdout.write(_cover_lines(masks, g.vertex_count))
     return EXIT_OK
 
 
@@ -150,7 +146,7 @@ def _verify_record(outcome) -> dict:
     report = outcome.report
     return {
         "n": outcome.lattice.n,
-        "elements": [sorted(e) for e in outcome.lattice.elements],
+        "elements": list(map(_members, outcome.lattice.masks)),
         "covers": report.cover_count,
         "rank_full": report.rank_full,
         "rank_truncated": report.rank_truncated,
@@ -192,7 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps({"summary": summary}))
     else:
-        print(" ".join(f"{k}={v}" for k, v in summary.items()))
+        print(_key_values(summary, {}, " "))
     return EXIT_OK
 
 

@@ -7,9 +7,11 @@ never enters a branch with no candidates but some excluded vertex, which
 can only die. A minimal cover of a disjoint union is one minimal cover per
 connected component, so _component_covers runs the search once per
 component (graphs._components), and every listing takes that one route:
-_cover_masks, for the covers command and verify, returns the unions of one
-cover per component; enumerate_minimal_covers returns them as frozensets
-in the canonical order: ascending size, then lexicographic on the members.
+_cover_masks, for verify, returns the unions of one cover per component;
+_sorted_cover_masks checks the vertex cap and sorts them in the canonical
+order (ascending size, then lexicographic on the members). The covers
+command prints those masks through _cover_lines, and
+enumerate_minimal_covers returns them as frozensets.
 For check of a graph that is not unmixed bipartite, _cover_size_counts
 convolves the components' size histograms and lists no cover of the whole
 graph. The pipeline reads an unmixed bipartite graph's lattice off its
@@ -30,6 +32,8 @@ from .graphs import (
     _canonical,
     _components,
     _mask_to_set,
+    _set_texts,
+    _to_mask,
 )
 
 __all__ = [
@@ -49,8 +53,13 @@ def enumerate_minimal_covers(
     g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> tuple[Cover, ...]:
     """All minimal vertex covers of g, in the canonical set order."""
+    return tuple(map(_mask_to_set, _sorted_cover_masks(g, max_vertices)))
+
+
+def _sorted_cover_masks(g: Graph, max_vertices: int) -> list[int]:
+    """The minimal vertex covers of g as masks in canonical order, after the vertex cap."""
     _check_cap(g, max_vertices)
-    return tuple(map(_mask_to_set, _canonical(_cover_masks(g), g.vertex_count)))
+    return _canonical(_cover_masks(g), g.vertex_count)
 
 
 def _check_cap(g: Graph, max_vertices: int) -> None:
@@ -220,6 +229,12 @@ def _relabel(
     return labeled, relabeling
 
 
+def _cover_lines(masks: Sequence[int], width: int) -> str:
+    """One cover per line as ascending vertex indices (graphs._set_texts)."""
+    return "\n".join(_set_texts(masks, width, " ")) + "\n"
+
+
 def format_covers(covers: Sequence[Cover]) -> str:
     """One cover per line as sorted vertex indices."""
-    return "\n".join(" ".join(map(str, sorted(c))) for c in covers) + "\n"
+    masks = list(map(_to_mask, covers))
+    return _cover_lines(masks, max(masks, default=0).bit_length())

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["GraphError", "CoverError", "LatticeError", "InconsistencyError"]
+
 
 class GraphError(ValueError):
     """Rejected graph input: malformed text, loops, duplicates, isolated vertices."""

@@ -3,7 +3,11 @@
 Vertices are 1-based everywhere, matching the file formats. All types are
 immutable and every function is pure, so concurrent callers need no
 synchronization. A set is held as an int mask, bit i - 1 for member i;
-_bits, _to_mask and _mask_to_set serve the whole package. The canonical
+_bits, _to_mask and _members (the members ascending, every JSON list of a
+set) serve the whole package, and _mask_to_set makes a frozenset only
+where a public function returns one. Every set the package prints, in
+lattice files, DOT nodes, cover lines and certificates, is written by
+one single-pass writer, _set_texts. The canonical
 order _canonical sorts masks that do not come from a preorder's search:
 the certificate scan of a refused family, the minimal covers and the sets
 in error details (a lattice's masks take the same order from
@@ -47,13 +51,51 @@ def _to_mask(e: Iterable[int]) -> int:
     return mask
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []  # frozenset(a set) takes 64 slots at 16-18 members; from a list, 32
+def _members(mask: int) -> list[int]:
+    """The members of mask, ascending: every JSON list of a set."""
+    out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length())
         mask ^= low
-    return frozenset(out)
+    return out
+
+
+def _mask_to_set(mask: int) -> frozenset[int]:
+    # frozenset(a set) takes 64 slots at 16-18 members; from a list, 32
+    return frozenset(_members(mask))
+
+
+def _set_texts(masks: Iterable[int], width: int, sep: str) -> list[str]:
+    """Each mask's members joined by sep, in the order given; the empty set is "".
+
+    The one writer of every set the package prints, members of 1..width
+    only. Labels are made once. In one pass, the text of a mask is the text
+    of the mask less its top member, when that came earlier, then that
+    member's label; when it did not, the labels are joined and that text is
+    not kept, so the table holds the listed masks only.
+    """
+    cut = len(sep)
+    labels = [f"{sep}{i}" for i in range(1, width + 1)]
+    texts = {0: ""}
+    out = []
+    for m in masks:
+        if not m:
+            out.append("")
+            continue
+        top = m.bit_length() - 1
+        rest = m ^ 1 << top
+        head = texts.get(rest)
+        if head is None:  # every line of an antichain, such as the minimal covers
+            parts = []
+            while rest:
+                low = rest & -rest
+                parts.append(labels[low.bit_length() - 1])
+                rest ^= low
+            head = "".join(parts)
+        text = texts[m] = head + labels[top]
+        out.append(text[cut:])
+    return out
 
 
 def _canonical(masks: Iterable[int], width: int) -> list[int]:
@@ -224,7 +266,7 @@ def bipartition(g: Graph) -> Bipartition | None:
                 if nbr[i] & layer:
                     return None
             sides[k & 1] |= layer
-    return Bipartition(_mask_to_set(sides[0]), _mask_to_set(sides[1]))
+    return Bipartition(*(frozenset(_members(side)) for side in sides))
 
 
 def as_graph(lg: LabeledBipartiteGraph) -> Graph:

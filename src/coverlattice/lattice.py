@@ -17,12 +17,14 @@ first read, and the dimension report never reads them. The rank is the
 number of distinct pred[j], and the inverse graph writes pred out as edges.
 
 Every walk of the preorder lives here. _downsets lists the down-sets by
-one binary search, in canonical order after a stable sort by size, and
-format_lattice writes each line from the line of the element less its top
-member. _above(pred), each point's up-set, serves that search and
+one binary search, in canonical order after a stable sort by size.
+_above(pred), each point's up-set, serves that search and
 _downset_counter, which counts down-sets without listing them (the
 dimension report's Gram entries). _cover_steps, L's one cover relation,
-serves hasse and algebra.multichain_counts in O(v |L|) for v classes.
+serves algebra.multichain_counts in O(v |L|) for v classes, and
+_hasse_pairs sorts it into index pairs for hasse and for the command
+line's --dot export. That export (_dot) and format_lattice write their
+sets from the masks through graphs._set_texts and build no frozenset.
 """
 
 from __future__ import annotations
@@ -34,7 +36,16 @@ from functools import cached_property, reduce
 from operator import and_, or_
 
 from .exceptions import InconsistencyError, LatticeError
-from .graphs import LabeledBipartiteGraph, _bits, _canonical, _content_lines, _mask_to_set, _to_mask
+from .graphs import (
+    LabeledBipartiteGraph,
+    _bits,
+    _canonical,
+    _content_lines,
+    _mask_to_set,
+    _members,
+    _set_texts,
+    _to_mask,
+)
 
 __all__ = [
     "CoverLattice",
@@ -53,12 +64,6 @@ __all__ = [
 MAX_LATTICE_N = 256  # parse_lattice's cap on n: the inverse graph has up to n^2 edges
 
 
-def _set_str(e: frozenset[int] | None) -> str:
-    if e is None:
-        return "?"
-    return "{" + ",".join(map(str, sorted(e))) + "}"
-
-
 @dataclass(frozen=True)
 class ClosureCertificate:
     """Witness that a family is not a bounded sublattice."""
@@ -74,10 +79,11 @@ class ClosureCertificate:
         if self.kind == "missing-top":
             return "the full set is missing"
         op = "|" if self.kind == "union" else "&"
-        return (
-            f"{_set_str(self.left)} {op} {_set_str(self.right)} "
-            f"= {_set_str(self.missing)} is missing"
-        )
+        sets = (self.left, self.right, self.missing)
+        masks = [_to_mask(e or ()) for e in sets]
+        texts = _set_texts(masks, max(masks).bit_length(), ",")
+        a, b, m = ("?" if e is None else f"{{{t}}}" for e, t in zip(sets, texts))
+        return f"{a} {op} {b} = {m} is missing"
 
 
 def _preorder(masks: Collection[int], points: int) -> list[int]:
@@ -176,15 +182,16 @@ def _edge_preorder(lg: LabeledBipartiteGraph) -> list[int]:
 def _lattice_preorder(masks: set[int], points: int) -> tuple[list[int], list[int]] | None:
     """The preorder of distinct masks within points and its down-sets as _downsets lists them.
 
-    None unless the masks are exactly those down-sets.
+    None unless the masks are exactly those down-sets. Every member holds
+    pred[j] for each of its points j, so it is a down-set of its own
+    preorder: the masks are among the down-sets, and they are all of them
+    as soon as _downsets finds no more than len(masks).
     """
     if 0 not in masks or points not in masks:  # down-sets hold both; test before n x n bits
         return None
     pred = _preorder(masks, points)
     found = _downsets(pred, len(masks))
-    if found is None or len(found) != len(masks) or not masks.issuperset(found):
-        return None
-    return pred, found
+    return None if found is None else (pred, found)
 
 
 def _element_masks(elements: Iterable[Iterable[int]], n: int) -> set[int]:
@@ -258,7 +265,7 @@ class CoverLattice:
                 "relation is not a preorder (reflexive and transitive)",
                 details={
                     "n": n,
-                    "pred": [sorted(_mask_to_set(p)) for p in pred],
+                    "pred": list(map(_members, pred)),
                     "stage": "from_preorder",
                 },
             )
@@ -331,11 +338,15 @@ def _cover_steps(lat: CoverLattice) -> list[tuple[int, int]]:
     return steps
 
 
+def _hasse_pairs(lat: CoverLattice) -> list[tuple[int, int]]:
+    """The pairs (a, b) of indices into lat.masks with b covering a, sorted."""
+    return sorted((a, b) for b, a in _cover_steps(lat))
+
+
 def hasse(lat: CoverLattice) -> HasseDiagram:
     """Edges (A, B) with B covering A in L, in the canonical order of A, then of B."""
     e = lat.elements
-    edges = sorted((a, b) for b, a in _cover_steps(lat))
-    return HasseDiagram(e, tuple((e[a], e[b]) for a, b in edges))
+    return HasseDiagram(e, tuple((e[a], e[b]) for a, b in _hasse_pairs(lat)))
 
 
 def rank(lat: CoverLattice) -> int:
@@ -397,24 +408,11 @@ def random_sublattice(n: int, generator_count: int, seed: int) -> CoverLattice:
 def format_lattice(lat: CoverLattice) -> str:
     """Lattice file: "n=<n>" header, then one element per line.
 
-    Elements are comma-separated sorted indices; the empty set, first in
-    canonical order, prints as {}. Each line is the text of the element less
-    its top member, then that member's label, with labels made once per call.
-    That text is looked up among the elements already written; when the set
-    is not an element, its labels are joined and the text is not kept, so
-    the lookup table holds the elements only.
+    Elements are comma-separated sorted indices (graphs._set_texts); the
+    empty set, first in canonical order, prints as {}.
     """
-    texts = {0: ""}
-    labels = [f",{i}" for i in range(1, lat.n + 1)]
-    lines = [f"n={lat.n}", "{}"]
-    for m in lat.masks[1:]:
-        top = m.bit_length() - 1
-        rest = m ^ 1 << top
-        head = texts.get(rest)
-        if head is None:
-            head = "".join([labels[i] for i in _bits(rest)])
-        text = texts[m] = head + labels[top]
-        lines.append(text[1:])
+    lines = _set_texts(lat.masks, lat.n, ",")
+    lines[0] = f"n={lat.n}\n{{}}"  # lat.masks[0] is the empty set
     return "\n".join(lines) + "\n"
 
 
@@ -459,9 +457,17 @@ def parse_lattice(text: str) -> CoverLattice:
     return CoverLattice._from_masks(n, masks)
 
 
+def _dot(masks: Sequence[int], width: int, pairs: Iterable[tuple[int, int]]) -> str:
+    """Graphviz text of a diagram: one node per mask, an edge a -> b per index pair."""
+    text = [f'"{{{t}}}"' for t in _set_texts(masks, width, ",")]
+    lines = ["digraph hasse {", "  rankdir=BT;", *(f"  {t};" for t in text)]
+    lines += [f"  {text[a]} -> {text[b]};" for a, b in pairs]
+    return "\n".join(lines) + "\n}\n"
+
+
 def hasse_to_dot(diagram: HasseDiagram) -> str:
     """Graphviz text for the Hasse diagram, edges pointing small to large; one text per node."""
-    text = {e: f'"{_set_str(e)}"' for e in diagram.nodes}
-    lines = ["digraph hasse {", "  rankdir=BT;", *(f"  {text[e]};" for e in diagram.nodes)]
-    lines += [f"  {text[a]} -> {text[b]};" for a, b in diagram.edges]
-    return "\n".join(lines) + "\n}\n"
+    masks = list(map(_to_mask, diagram.nodes))
+    index = {e: k for k, e in enumerate(diagram.nodes)}
+    pairs = [(index[a], index[b]) for a, b in diagram.edges]
+    return _dot(masks, max(masks, default=0).bit_length(), pairs)

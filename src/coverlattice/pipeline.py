@@ -20,7 +20,7 @@ from .graphs import (
     Graph,
     LabeledBipartiteGraph,
     _canonical,
-    _mask_to_set,
+    _members,
     as_graph,
     bipartition,
 )
@@ -130,12 +130,12 @@ def verify_lattice(lat: CoverLattice) -> LatticeVerification:
     if found != expected:
 
         def listed(masks, width):
-            return [sorted(_mask_to_set(m)) for m in _canonical(masks, width)]
+            return list(map(_members, _canonical(masks, width)))
 
         raise InconsistencyError(
             "cover projection does not reproduce the lattice",
             details={
-                "expected": [sorted(e) for e in lat.elements],
+                "expected": list(map(_members, lat.masks)),
                 "actual": listed({c & full for c in found}, n),  # the found covers' x-parts
                 "unexpected": listed(found - expected, 2 * n),  # found, but no C_A
                 "stage": "cover_projection",
@@ -157,7 +157,7 @@ def verify_lattice(lat: CoverLattice) -> LatticeVerification:
             f"strict chain counts {chains}",
             details={
                 "n": lat.n,
-                "lattice": [sorted(e) for e in lat.elements],
+                "lattice": list(map(_members, lat.masks)),
                 "multichains": multichains,
                 "strict_chains": chains,
                 "stage": "multichain",

@@ -5,6 +5,7 @@ exhaustive and randomized lattice sweeps. Every comparison is exact integer
 arithmetic with zero tolerance, and each check prints one pass/fail line.
 """
 
+import json
 import random
 import time
 
@@ -23,6 +24,8 @@ from coverlattice import (
     verify_lattice,
 )
 
+from coverlattice.cli import main
+
 from conftest import FIVE_VERTEX_TEXT, FOUR_CYCLE_TEXT, matching_graph
 from oracles import (
     brute_force_minimal_covers,
@@ -32,6 +35,7 @@ from oracles import (
     is_unmixed,
     lattice_covers,
     longest_chain_cardinality,
+    random_graph,
     rank_by_minors,
 )
 
@@ -341,3 +345,37 @@ def test_analyze_graph_equals_the_cover_route(exhaustive_sweep, random_sweep):
         (False, True, False),
         (False, False, False),
     }
+
+
+def test_text_lines_are_the_json_records_renamed(exhaustive_sweep, random_sweep, tmp_path, capsys):
+    """dim and check text are their --format json records through one rename map each.
+
+    A key is written as the map gives it, a flag as yes or no, and None is
+    left out; dim puts one pair per line, check one line of them. The sweep
+    graphs are unmixed bipartite, so 200 random graphs add the mixed ones.
+    """
+
+    def renamed(record: dict, rename: dict) -> list[str]:
+        def text(v):
+            return ("yes" if v else "no") if isinstance(v, bool) else str(v)
+
+        return [f"{rename.get(k, k)}={text(v)}" for k, v in record.items() if v is not None]
+
+    def run(*argv):
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    rng = random.Random(29)
+    graphs = [as_graph(o.labeled) for _, o in exhaustive_sweep[0] + random_sweep[0]]
+    graphs += [random_graph(rng) for _ in range(200)]
+    path = tmp_path / "g.txt"
+    dims = 0
+    for g in graphs:
+        path.write_text("".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
+        check = json.loads(run("check", str(path), "--format", "json"))
+        assert run("check", str(path)) == " ".join(renamed(check, {"cohen_macaulay": "cm"})) + "\n"
+        if check["bipartite"] and check["unmixed"]:
+            dims += 1
+            dim = json.loads(run("dim", str(path), "--format", "json"))
+            assert run("dim", str(path)).splitlines() == renamed(dim, {"cover_count": "covers"})
+    assert dims >= len(graphs) - 200

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -288,6 +289,40 @@ class TestLattice:
         text = dot.read_text()
         assert text.startswith("digraph hasse {")
         assert '"{}" -> "{1,2}";' in text
+
+
+class TestPrintPathsFromMasks:
+    """covers and --dot print straight from masks: no cover or element frozenset is built."""
+
+    def test_pinned_digests_hold_with_no_mask_to_set(self, write, tmp_path, capsys, monkeypatch):
+        from coverlattice import covers, graphs, lattice
+
+        def refuse(mask):
+            raise AssertionError("a print path built a frozenset")
+
+        for module in (graphs, covers, lattice):
+            monkeypatch.setattr(module, "_mask_to_set", refuse)
+
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        def matching(k):
+            return write(f"m{k}.txt", "".join(f"{2 * i + 1} {2 * i + 2}\n" for i in range(k)))
+
+        # the values pinned in the CI workflow's console-script step
+        m16 = matching(16)
+        assert main(["covers", m16, "--max-vertices", "32"]) == 0
+        out = capsys.readouterr().out
+        assert digest(out) == "d7fbe61186bc615adcc98937140b64fc42583b2e69295f97e678aebd17b5118d"
+        assert main(["covers", m16, "--max-vertices", "32", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert digest(out) == "f2fe566d4408c16aab74b615d12b19bad19205945371ea4f3a4461448de93ee3"
+        dot = tmp_path / "m12.dot"
+        assert main(["lattice", matching(12), "--dot", str(dot)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4097
+        assert digest(dot.read_text()) == (
+            "eafda146ece01271e52400c04cd0c160db456cf3befdbb93ca037f563cf7e55a"
+        )
 
 
 class TestFromLattice:

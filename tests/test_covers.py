@@ -253,3 +253,12 @@ class TestUnmixedLabeledInvariants:
 
 def test_format_covers(four_cycle):
     assert format_covers(enumerate_minimal_covers(four_cycle)) == "1 3\n2 4\n"
+
+
+def test_format_covers_keeps_the_given_order():
+    rng = random.Random(5)
+    for _ in range(200):
+        count = rng.randint(0, 8)
+        covers = [frozenset(rng.sample(range(1, 13), rng.randint(0, 6))) for _ in range(count)]
+        expected = "\n".join(" ".join(map(str, sorted(c))) for c in covers) + "\n"
+        assert format_covers(covers) == expected

@@ -15,6 +15,8 @@ from coverlattice import (
     serialize_labeled,
 )
 
+from coverlattice.graphs import _canonical, _members, _set_texts
+
 from oracles import disjoint_union, has_odd_closed_walk, random_graph
 
 
@@ -91,6 +93,33 @@ class TestParse:
     def test_serialize_parse_round_trip_random(self, seed):
         g = random_graph(random.Random(seed), max_vertices=10)
         assert parse_graph("".join(f"{u} {v}\n" for u, v in sorted(g.edges))) == g
+
+
+class TestSetWriter:
+    """_set_texts, the one writer of every printed set, and _members, every JSON list."""
+
+    def test_members_are_the_set_bits_ascending(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            m = rng.getrandbits(rng.randint(0, 40))
+            assert _members(m) == [i + 1 for i in range(m.bit_length()) if m >> i & 1]
+
+    @pytest.mark.parametrize("empty", ["absent", "first", "later"])
+    def test_each_text_is_the_joined_members_in_any_order(self, empty):
+        rng = random.Random(["absent", "first", "later"].index(empty))
+        for _ in range(300):
+            width = rng.randint(1, 9)
+            masks = rng.sample(range(1, 1 << width), rng.randint(1, min(40, (1 << width) - 1)))
+            order = rng.choice(["drawn", "canonical", "reversed"])
+            if order != "drawn":
+                masks = _canonical(masks, width)[:: 1 if order == "canonical" else -1]
+            if empty == "first":
+                masks.insert(0, 0)
+            elif empty == "later":
+                masks.insert(rng.randint(1, len(masks)), 0)
+            for sep in (",", " ", ", "):
+                expected = [sep.join(map(str, _members(m))) for m in masks]
+                assert _set_texts(masks, width, sep) == expected
 
 
 class TestBipartition:

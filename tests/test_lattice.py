@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from coverlattice import (
     CoverLattice,
+    HasseDiagram,
     InconsistencyError,
     LatticeError,
     enumerate_sublattices,
@@ -20,7 +21,13 @@ from coverlattice import (
 )
 
 from coverlattice.graphs import _canonical
-from coverlattice.lattice import MAX_LATTICE_N, _downsets, _is_preorder, _preorder
+from coverlattice.lattice import (
+    MAX_LATTICE_N,
+    _downsets,
+    _is_preorder,
+    _lattice_preorder,
+    _preorder,
+)
 
 from oracles import (
     brute_force_closure,
@@ -459,6 +466,10 @@ def _subset(mask):
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _mask(e):
+    return sum(1 << (i - 1) for i in e)
+
+
 @st.composite
 def families(draw):
     """A family over 1..n, n <= 6: random, a closed one, or a closed one less an element."""
@@ -472,6 +483,21 @@ def families(draw):
 
 
 class TestAgainstClosureOracle:
+    def test_every_family_over_three_points(self):
+        """The down-set count alone decides: each of the 256 families, the empty one too."""
+        accepted = 0
+        for combo in range(1 << 8):
+            family = {m for m in range(8) if combo >> m & 1}
+            sets = set(map(_subset, family))
+            held = _lattice_preorder(family, 0b111)
+            assert (held is not None) == (brute_force_closure(sets, 3) == sets), sorted(family)
+            if held is not None:
+                accepted += 1
+                pred, found = held
+                assert sorted(found) == sorted(family)
+                assert pred == [_mask(e) for e in preorder_by_intersection(sets, 3)]
+        assert accepted == 29  # the bounded sublattices of 2^[3], as verify --n 3 counts
+
     @given(families())
     @settings(deadline=None, max_examples=300)
     def test_verdict_matches_oracle(self, drawn):
@@ -633,6 +659,21 @@ class TestSerialization:
     def test_parse_skips_comments_and_blank_lines(self):
         built = parse_lattice("# c\n\nn=2  # two\n# d\n{}\n\n1  # one\n1,2\n")
         assert built == lat(2, (), {1}, {1, 2})
+
+    def test_dot_keeps_the_given_node_and_edge_order(self):
+        def name(e):
+            return '"{' + ",".join(map(str, sorted(e))) + '}"'
+
+        rng = random.Random(11)
+        for _ in range(60):
+            d = hasse(random_sublattice(rng.randint(1, 5), rng.randint(0, 6), rng.getrandbits(32)))
+            nodes, edges = list(d.nodes), list(d.edges)
+            rng.shuffle(nodes)
+            rng.shuffle(edges)
+            lines = ["digraph hasse {", "  rankdir=BT;", *(f"  {name(e)};" for e in nodes)]
+            lines += [f"  {name(a)} -> {name(b)};" for a, b in edges]
+            expected = "\n".join(lines) + "\n}\n"
+            assert hasse_to_dot(HasseDiagram(tuple(nodes), tuple(edges))) == expected
 
     def test_dot_export(self):
         text = hasse_to_dot(hasse(lat(2, (), {1}, {1, 2})))
