@@ -20,13 +20,18 @@ G[x_i, 1] = c_ii, and G[1, 1] = |L|, the cover count. One memo,
 lattice._downset_counter, serves all (n + 1)(n + 2) / 2 counts, with at
 most 2^n states whatever |L| is. For a rational vector v,
 v^T G v = |[X | 1] v|^2 vanishes only when [X | 1] v does, so G has the rank
-of [X | 1]. One fraction-free (Bareiss) pass over G gives both ranks: the
-pivots among its first n columns number the rank of those columns,
-[X | 1]^T X, whose null space is that of X; so they number
-rank X = rank X^T X = rank_truncated, and the final count is rank_full.
-Both are tied to the lattice rank, and any failure of the identities
-between those quantities raises an InconsistencyError carrying the full
-instance.
+of [X | 1], and G is positive semidefinite. One symmetric fraction-free
+pass over the upper triangle of G, _psd_pivots, gives both ranks and
+certifies that: its diagonal pivots among the first k indices number
+rank G[:k, :k], the rank of the first k columns of [X | 1], so those among
+the first n number rank X = rank_truncated, and the final count is
+rank_full. It updates only the entries on and above the diagonal and
+searches or swaps no row, about half the work of the general Bareiss pass,
+_pivot_columns, which rank_exact keeps for any matrix. The listing oracle
+in the tests ranks through rank_exact, so it shares no elimination with
+this route. Both ranks are tied to the lattice rank, and any failure of
+the identities between those quantities, or of the certificate, raises an
+InconsistencyError carrying the full instance.
 
 The ranks over GF(2) and GF(3) need no elimination of their own: they are
 v + 1 for the v classes of the preorder (each the points sharing one pred
@@ -51,7 +56,7 @@ ACM Trans. Algorithms 12(1), 2016).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .exceptions import InconsistencyError
 from .graphs import _members
@@ -113,6 +118,45 @@ def rank_exact(rows: Sequence[Sequence[int]]) -> int:
     return len(_pivot_columns(rows))
 
 
+def _psd_pivots(upper: Sequence[Sequence[int]]) -> list[int]:
+    """The pivots, ascending, of symmetric fraction-free elimination of a Gram matrix.
+
+    upper[r] holds the entries (r, c), c >= r, of a symmetric integer matrix
+    G, and only those are read and updated. Pivots are the diagonal entries,
+    taken left to right, with Bareiss's exact division by the previous pivot
+    (asserted): after the pivots P, entry (i, j) is the minor of G on rows
+    P + i and columns P + j. If G is positive semidefinite, so is each
+    remainder after a pivot, so every diagonal is >= 0 and a zero one has an
+    all-zero row, which stays zero and is skipped. Index k is then a pivot
+    iff its diagonal is > 0, and the pivots among the first k indices number
+    rank G[:k, :k]. A negative diagonal, or a zero one with a nonzero entry
+    left in its row, proves G is not positive semidefinite, so not a Gram
+    matrix; that and an inexact division raise ArithmeticError.
+    """
+    m = [list(row) for row in upper]
+    pivots: list[int] = []
+    prev = 1
+    for k, pivot_row in enumerate(m):
+        lead = pivot_row[0]
+        if lead <= 0:
+            if lead or any(pivot_row):
+                raise ArithmeticError(
+                    f"not positive semidefinite: diagonal {k} is {lead} after elimination, "
+                    f"its row {pivot_row}"
+                )
+            continue
+        for d in range(1, len(pivot_row)):  # row k + d holds columns k + d onwards
+            row, factor = m[k + d], pivot_row[d]
+            for c in range(len(row)):
+                quot, rem = divmod(row[c] * lead - factor * pivot_row[d + c], prev)
+                if rem:
+                    raise ArithmeticError("fraction-free elimination lost exactness (bug)")
+                row[c] = quot
+        prev = lead
+        pivots.append(k)
+    return pivots
+
+
 @dataclass(frozen=True)
 class DimensionReport:
     """Every rank and dimension quantity of one instance, cross-checked.
@@ -133,31 +177,47 @@ class DimensionReport:
     rank_full_mod3: int
 
     def as_dict(self) -> dict:
-        """Every field, in declaration order."""
-        return asdict(self)
+        """Every field, in declaration order: a shallow dict of the flat values."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+
+def _report_alarm(lat: CoverLattice, problems: Sequence[str], **found) -> InconsistencyError:
+    """The dimension_report stage's alarm: the problems, the whole instance and what was found."""
+    return InconsistencyError(
+        "; ".join(problems),
+        details={
+            "n": lat.n,
+            "edges": sorted(graph_from_lattice(lat).edges),
+            "lattice": list(map(_members, lat.masks)),
+            **found,
+            "stage": "dimension_report",
+        },
+    )
 
 
 def dimension_report(lat: CoverLattice) -> DimensionReport:
     """Compute the report and verify the identities tying its fields together.
 
-    Required on every valid instance:
-    rank_full = rank_truncated + 1 and rank_truncated = lattice rank, so the
-    dimension, rank_full, is lattice rank + 1. Any violation raises
-    InconsistencyError with the whole instance attached; on genuine inputs
-    that never happens, so a raise is a bug alarm worth keeping loud.
+    Required on every valid instance: the Gram matrix is positive
+    semidefinite, rank_full = rank_truncated + 1 and rank_truncated = lattice
+    rank, so the dimension, rank_full, is lattice rank + 1. Any violation
+    raises InconsistencyError with the whole instance attached; on genuine
+    inputs that never happens, so a raise is a bug alarm worth keeping loud.
     """
     # entry (a, b) of G = [X | 1]^T [X | 1] counts the elements holding both
     # coordinates: the down-sets holding pred[i] | pred[j] for x_i and x_j,
-    # those holding pred[i] for x_i and 1, and all of L for 1 and 1
+    # those holding pred[i] for x_i and 1, and all of L for 1 and 1; G is
+    # symmetric, so only its upper triangle is counted
     n, pred = lat.n, lat.pred
     count, full, need = _downset_counter(pred), (1 << n) - 1, [*pred, 0]
-    gram = [[0] * (n + 1) for _ in need]
-    for a in range(n + 1):  # G is symmetric: count the upper triangle and mirror it
-        for b in range(a, n + 1):
-            gram[a][b] = gram[b][a] = count(full & ~(need[a] | need[b]))
+    upper = [[count(full & ~(p | q)) for q in need[a:]] for a, p in enumerate(need)]
+    try:
+        pivots = _psd_pivots(upper)
+    except ArithmeticError as err:
+        gram = [[upper[min(a, b)][abs(a - b)] for b in range(n + 1)] for a in range(n + 1)]
+        raise _report_alarm(lat, [str(err)], gram=gram) from None
     # the first n columns of G are [X | 1]^T X, whose null space is X's, so
     # the pivots among them number rank(X) = rank_truncated
-    pivots = _pivot_columns(gram)
     rank_full = len(pivots)
     rank_trunc = sum(col < n for col in pivots)
     lattice_rank = rank(lat)
@@ -169,21 +229,16 @@ def dimension_report(lat: CoverLattice) -> DimensionReport:
     if rank_trunc != lattice_rank:
         problems.append(f"rank_truncated={rank_trunc} differs from lattice_rank={lattice_rank}")
     if problems:
-        raise InconsistencyError(
-            "; ".join(problems),
-            details={
-                "n": lat.n,
-                "edges": sorted(graph_from_lattice(lat).edges),
-                "lattice": list(map(_members, lat.masks)),
-                "rank_full": rank_full,
-                "rank_truncated": rank_trunc,
-                "lattice_rank": lattice_rank,
-                "stage": "dimension_report",
-            },
+        raise _report_alarm(
+            lat,
+            problems,
+            rank_full=rank_full,
+            rank_truncated=rank_trunc,
+            lattice_rank=lattice_rank,
         )
     return DimensionReport(
         n=lat.n,
-        cover_count=gram[n][n],
+        cover_count=upper[n][0],
         rank_full=rank_full,
         rank_truncated=rank_trunc,
         lattice_rank=lattice_rank,

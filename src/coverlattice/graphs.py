@@ -71,12 +71,11 @@ def _set_texts(masks: Iterable[int], width: int, sep: str) -> list[str]:
 
     The one writer of every set the package prints, members of 1..width
     only. Labels are made once. In one pass, the text of a mask is the text
-    of the mask less its top member, when that came earlier, then that
-    member's label; when it did not, the labels are joined and that text is
-    not kept, so the table holds the listed masks only.
+    of the mask less its top member, when that came earlier, then sep and
+    that member's label; when it did not, the labels are joined. The table
+    and the output hold the same string, one per listed mask.
     """
-    cut = len(sep)
-    labels = [f"{sep}{i}" for i in range(1, width + 1)]
+    labels = [str(i) for i in range(1, width + 1)]
     texts = {0: ""}
     out = []
     for m in masks:
@@ -87,14 +86,16 @@ def _set_texts(masks: Iterable[int], width: int, sep: str) -> list[str]:
         rest = m ^ 1 << top
         head = texts.get(rest)
         if head is None:  # every line of an antichain, such as the minimal covers
-            parts = []
-            while rest:
-                low = rest & -rest
+            parts, left = [], m
+            while left:
+                low = left & -left
                 parts.append(labels[low.bit_length() - 1])
-                rest ^= low
-            head = "".join(parts)
-        text = texts[m] = head + labels[top]
-        out.append(text[cut:])
+                left ^= low
+            text = sep.join(parts)
+        else:
+            text = f"{head}{sep}{labels[top]}" if rest else labels[top]
+        out.append(text)
+        texts[m] = text
     return out
 
 

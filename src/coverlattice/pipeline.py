@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import DimensionReport, dimension_report, multichain_counts
+from .algebra import DimensionReport, _report_alarm, dimension_report, multichain_counts
 from .covers import (
     DEFAULT_MAX_VERTICES,
     Relabeling,
@@ -118,10 +118,11 @@ def verify_lattice(lat: CoverLattice) -> LatticeVerification:
     behind the cover semigroup ring: they are exactly the covers
     C_A = {x_i : i in A} + {y_j : j not in A}, one per element A of the
     lattice. It then computes the dimension report, which ties the preorder
-    rank to the exact matrix ranks, and checks the dimension against the
-    Hilbert function of the cover semigroup ring: the multichain count M(t)
-    of the lattice, whose degree must be rank_full - 1. Any violation
-    raises InconsistencyError.
+    rank to the exact matrix ranks, and checks its cover count, the Gram
+    matrix's corner, against the covers found. Last it checks the dimension
+    against the Hilbert function of the cover semigroup ring: the multichain
+    count M(t) of the lattice, whose degree must be rank_full - 1. Any
+    violation raises InconsistencyError.
     """
     lg = graph_from_lattice(lat)
     n, full = lg.n, (1 << lg.n) - 1
@@ -142,6 +143,12 @@ def verify_lattice(lat: CoverLattice) -> LatticeVerification:
             },
         )
     report = dimension_report(lat)
+    if report.cover_count != len(found):  # the search is certified, so the count is at fault
+        raise _report_alarm(
+            lat,
+            [f"cover_count={report.cover_count} but the search found {len(found)} covers"],
+            cover_count=report.cover_count,
+        )
     # M(t) = sum_k s_k * C(t-1, k-1) with s_k the k-element strict chains, so
     # the forward differences of M at t = 1 are s_1, s_2, ...; r + 2 values
     # give s_1..s_{r+2}, and the degree is r iff s_{r+1} > 0 = s_{r+2}

@@ -18,7 +18,7 @@ from coverlattice import (
     rank_exact,
 )
 
-from coverlattice.algebra import _downset_counter, _pivot_columns
+from coverlattice.algebra import _downset_counter, _pivot_columns, _psd_pivots
 
 from oracles import (
     cover_columns,
@@ -33,6 +33,11 @@ from oracles import (
 K22 = LabeledBipartiteGraph(2, frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}))
 MATCH2 = LabeledBipartiteGraph(2, frozenset({(1, 1), (2, 2)}))
 EDGE1 = LabeledBipartiteGraph(1, frozenset({(1, 1)}))
+
+
+def _upper(matrix):
+    """The entries on and above the diagonal, row by row: what _psd_pivots reads."""
+    return [row[r:] for r, row in enumerate(matrix)]
 
 
 def _pipeline(lg):
@@ -285,6 +290,7 @@ class TestCountedGram:
             columns = cover_columns(lat.elements, n)
             assert gram == [[(a & b).bit_count() for b in columns] for a in columns]
             pivots = _pivot_columns(gram)
+            assert _psd_pivots(_upper(gram)) == pivots
             leading = rank_exact([row[:n] for row in gram[:n]])
             assert sum(c < n for c in pivots) == leading == dimension_report(lat).rank_truncated
             assert len(pivots) == rank_exact(gram) == dimension_report(lat).rank_full
@@ -328,9 +334,55 @@ class TestCountedGram:
         gram = [[sum(r[a] * r[b] for r in m) for b in range(cols)] for a in range(cols)]
         pivots = _pivot_columns(gram)
         assert len(pivots) == rank_exact(gram)
+        assert _psd_pivots(_upper(gram)) == pivots
         for k in range(cols + 1):
             leading = rank_exact([row[:k] for row in gram[:k]])
             assert sum(c < k for c in pivots) == leading == rank_by_minors([r[:k] for r in m])
+
+    @pytest.mark.parametrize(
+        "matrix, problem",
+        [
+            ([[0, 1], [1, 0]], "diagonal 0 is 0"),  # a zero diagonal, its row not zero
+            ([[1, 2], [2, 1]], "diagonal 1 is -3"),  # the remainder 1 - 2 * 2 is negative
+            ([[-1]], "diagonal 0 is -1"),
+        ],
+    )
+    def test_symmetric_pass_refuses_what_is_no_gram_matrix(self, matrix, problem):
+        with pytest.raises(ArithmeticError, match=f"not positive semidefinite: {problem}"):
+            _psd_pivots(_upper(matrix))
+
+    def test_symmetric_pass_leaves_its_input_alone(self):
+        upper = _upper([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+        assert _psd_pivots(upper) == [0, 1, 2]
+        assert upper == [[2, 1, 1], [2, 1], [2]]
+
+    def test_a_gram_matrix_that_is_not_semidefinite_is_an_alarm(self, monkeypatch):
+        from coverlattice import algebra
+
+        def counter(pred):  # the corner |L| = 2 read as 0: G = [[1, 1], [1, 0]] for n = 1
+            count = _downset_counter(pred)
+            return lambda s: count(s) - 2 * (s == (1 << len(pred)) - 1)
+
+        monkeypatch.setattr(algebra, "_downset_counter", counter)
+        with pytest.raises(InconsistencyError, match="not positive semidefinite") as info:
+            dimension_report(CoverLattice(1, [(), (1,)]))
+        details = info.value.details
+        assert details["stage"] == "dimension_report"
+        assert details["gram"] == [[1, 1], [1, 0]]
+        assert details["lattice"] == [[], [1]]
+
+    def test_report_runs_without_the_general_elimination(self, monkeypatch):
+        from coverlattice import algebra
+
+        def refuse(rows):
+            raise AssertionError("dimension_report called _pivot_columns")
+
+        monkeypatch.setattr(algebra, "_pivot_columns", refuse)
+        lattices = self._lattices()
+        reports = list(map(dimension_report, lattices))
+        monkeypatch.undo()  # the listing oracle ranks through rank_exact
+        assert len(reports) == 389
+        assert reports == list(map(dimension_report_by_listing, lattices))
 
 
 class TestGrowth:

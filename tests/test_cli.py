@@ -198,6 +198,28 @@ class TestDim:
         assert '"rank_full": 3' in captured.err
         assert '"lattice_rank": 3' in captured.err
 
+    def test_gram_matrix_not_semidefinite_exits_1(self, write, capsys, monkeypatch):
+        from coverlattice import algebra
+
+        downset_counter = algebra._downset_counter
+
+        def counter(pred):  # the corner |L| = 2 read as 0: G = [[1, 1], [1, 0]]
+            count = downset_counter(pred)
+            return lambda s: count(s) - 2 * (s == (1 << len(pred)) - 1)
+
+        monkeypatch.setattr(algebra, "_downset_counter", counter)
+        assert main(["dim", write("g.txt", "1 2\n")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        head, details = captured.err.split("\n", 1)
+        assert head == (
+            "INCONSISTENCY: not positive semidefinite: "
+            "diagonal 1 is -1 after elimination, its row [-1]"
+        )
+        details = json.loads(details)
+        assert details["stage"] == "dimension_report"
+        assert details["gram"] == [[1, 1], [1, 0]] and details["edges"] == [[1, 1]]
+
 
 class TestCountedRoute:
     """check and dim count the lattice from the graph's preorder and list no element."""
@@ -475,6 +497,27 @@ class TestVerify:
         )
         assert '"rank_full": 2' in captured.err
         assert '"stage": "dimension_report"' in captured.err
+
+    def test_cover_count_not_the_covers_found_exits_1(self, capsys, monkeypatch):
+        # one down-set too many at the full set moves only the Gram matrix's
+        # corner, which no rank sees; the covers the search found do
+        from coverlattice import algebra
+
+        downset_counter = algebra._downset_counter
+
+        def counter(pred):
+            count = downset_counter(pred)
+            return lambda s: count(s) + (s == (1 << len(pred)) - 1)
+
+        monkeypatch.setattr(algebra, "_downset_counter", counter)
+        assert main(["verify", "--n", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        head, details = captured.err.split("\n", 1)
+        assert head == "INCONSISTENCY: cover_count=3 but the search found 2 covers"
+        details = json.loads(details)
+        assert details["stage"] == "dimension_report"
+        assert details["lattice"] == [[], [1, 2]] and details["cover_count"] == 3
 
     @pytest.mark.parametrize(
         "n, covers",

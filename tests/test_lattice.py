@@ -12,6 +12,7 @@ from coverlattice import (
     LatticeError,
     enumerate_sublattices,
     format_lattice,
+    graph_from_edges,
     graph_from_lattice,
     hasse,
     hasse_to_dot,
@@ -20,7 +21,8 @@ from coverlattice import (
     rank,
 )
 
-from coverlattice.graphs import _canonical
+from coverlattice.covers import _cover_lines, _sorted_cover_masks
+from coverlattice.graphs import _canonical, _members
 from coverlattice.lattice import (
     MAX_LATTICE_N,
     _downsets,
@@ -606,6 +608,18 @@ class TestSerialization:
         assert text.count("\n") == 1 + (k + 1) ** 2
         assert _first_difference(text, format_lattice_by_bits(built)) is None
         assert peak < 10 * len(text)
+        # the minimal covers of the 16-edge matching graph, an antichain: no
+        # line extends an earlier one, and each is held once, as it is printed
+        masks = _sorted_cover_masks(graph_from_edges((i, i + 1) for i in range(1, 32, 2)), 32)
+        tracemalloc.start()
+        try:
+            text = _cover_lines(masks, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == "".join(" ".join(map(str, _members(m))) + "\n" for m in masks)
+        assert len(masks) == 2**16
+        assert peak < 4 * len(text)
 
     def test_format_and_masks_leave_no_reference_cycle(self):
         # a cycle would hold each call's table of lines until the cyclic collector ran
